@@ -4,7 +4,10 @@ Every benchmark module regenerates the data behind one of the paper's
 tables or figures, writes it as a text table under
 ``benchmarks/results/`` and runs a small representative workload under
 ``pytest-benchmark`` so ``pytest benchmarks/ --benchmark-only`` both
-times the compiler and reproduces the artefacts.
+times the compiler and reproduces the artefacts.  The tracked tables
+hold deterministic columns only, so a test run leaves them unchanged;
+tables made of wall-clock timings go to the untracked
+``benchmarks/out/`` instead.
 
 Set ``REPRO_FULL=1`` to run the paper-scale circuit sizes (64-qubit
 QFT, 32-bit adder, 48-spin Heisenberg...); the default sizes are scaled
@@ -23,6 +26,10 @@ from repro.circuit.library import build_benchmark
 from repro.hardware.presets import paper_device
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: Untracked (gitignored) home of tables whose values are wall-clock
+#: timings; their tracked numbers live in ``results/BENCH_*.json``.
+LOCAL_RESULTS_DIR = Path(__file__).parent / "out"
 
 #: Paper-scale workloads of Figs. 8-10: benchmark name -> topologies.
 FULL_WORKLOADS: dict[str, tuple[str, ...]] = {
@@ -55,10 +62,10 @@ def comparison_workloads() -> dict[str, tuple[str, ...]]:
     return FULL_WORKLOADS if full_scale() else SCALED_WORKLOADS
 
 
-def save_table(name: str, text: str) -> Path:
-    """Write one artefact's text table under ``benchmarks/results/``."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+def save_table(name: str, text: str, directory: Path = RESULTS_DIR) -> Path:
+    """Write one artefact's text table (under ``benchmarks/results/`` by default)."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{name}.txt"
     path.write_text(text + "\n")
     return path
 

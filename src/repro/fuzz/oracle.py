@@ -16,8 +16,9 @@ For a scenario the oracle
    and to an identical plain-data document);
 5. evaluates every schedule under the noise model and checks the
    invariants the analysis layer trusts: success rate in ``[0, 1]``,
-   positive makespan on a non-empty schedule, and an executed two-qubit
-   gate count equal to the circuit's.
+   positive makespan on a non-empty schedule, an executed two-qubit
+   gate count equal to the circuit's, and an evaluation identical to the
+   evaluator's per-record reference walk.
 
 Any violation raises :class:`OracleFailure` naming the failed check; a
 clean pass returns an :class:`OracleReport` listing every check run.
@@ -32,7 +33,7 @@ from repro.core.result import CompilationResult
 from repro.core.scheduler import SCHEDULER_BACKENDS, SchedulerConfig
 from repro.exceptions import ReproError
 from repro.fuzz.scenario import Scenario
-from repro.noise.evaluator import evaluate_schedule
+from repro.noise.evaluator import EvaluatorConfig, ScheduleEvaluator
 from repro.registry import make_pipeline
 from repro.schedule.serialize import (
     schedule_from_bytes,
@@ -266,13 +267,25 @@ def _check_noise(
     checks: list[str],
 ) -> None:
     for implementation in gate_implementations:
+        evaluator = ScheduleEvaluator(EvaluatorConfig(gate_implementation=implementation))
         evaluation = _guarded(
             scenario,
             f"noise:{compiler}:{implementation}",
-            lambda implementation=implementation: evaluate_schedule(
-                result.schedule, gate_implementation=implementation
-            ),
+            lambda: evaluator.evaluate(result.schedule),
         )
+        reference = _guarded(
+            scenario,
+            f"noise:{compiler}:{implementation}",
+            lambda: evaluator._evaluate_records(result.schedule),
+        )
+        # repr compares every field bit for bit (floats repr exactly),
+        # details and value types included.
+        if repr(evaluation) != repr(reference):
+            raise OracleFailure(
+                scenario,
+                f"noise:{compiler}:{implementation}",
+                f"evaluation {evaluation} differs from the per-record reference {reference}",
+            )
         if not 0.0 <= evaluation.success_rate <= 1.0:
             raise OracleFailure(
                 scenario,

@@ -23,6 +23,7 @@ randomisation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -72,6 +73,24 @@ def device_fingerprint(device: QCCDDevice) -> str:
 def config_fingerprint(config: SSyncConfig | None) -> str:
     """Fingerprint of an :class:`SSyncConfig` (``None`` means the defaults)."""
     return _digest(asdict(config or SSyncConfig()))
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _named_fingerprint(kind: str, name: str, capacity: int | None = None) -> str:
+    """Content fingerprint of a library circuit or a paper device, by name.
+
+    A Table-2 circuit is a pure function of its name, and a paper device
+    of its name and capacity, so the content fingerprint can be keyed by
+    them: each distinct name is built once per process, however many
+    jobs name it.  Only the fingerprint strings are kept — never the
+    (mutable) circuit or device — and the memo is bounded.  ``typed``
+    keeps ``capacity=True`` apart from ``capacity=1`` (they build
+    different devices), and a name that fails to build raises every
+    time, exactly as building it directly does.
+    """
+    if kind == "circuit":
+        return circuit_fingerprint(build_benchmark(name))
+    return device_fingerprint(paper_device(name, capacity))
 
 
 @dataclass(frozen=True)
@@ -145,30 +164,36 @@ class CompileJob:
     def compile_key(self) -> dict[str, Any]:
         """The canonical payload hashed into the compile fingerprint.
 
-        Memoised per instance — building it re-serialises the whole gate
-        list, and both fingerprints need it.
+        Named circuits and devices enter through their name-keyed content
+        fingerprints (:func:`_named_fingerprint`), so building the key
+        costs no circuit build once a name has been seen.  Concrete
+        objects are fingerprinted from their content on every call.
         """
-        cached = self.__dict__.get("_compile_key")
-        if cached is not None:
-            return cached
         spec = compiler_spec(self.compiler)
         key: dict[str, Any] = {
-            "circuit": circuit_fingerprint(self.resolve_circuit()),
-            "device": device_fingerprint(self.resolve_device()),
+            "circuit": (
+                _named_fingerprint("circuit", self.circuit)
+                if isinstance(self.circuit, str)
+                else circuit_fingerprint(self.resolve_circuit())
+            ),
+            "device": (
+                _named_fingerprint("device", self.device, self.capacity)
+                if isinstance(self.device, str)
+                else device_fingerprint(self.resolve_device())
+            ),
             "compiler": spec.name,
         }
         if spec.accepts_mapping:
             key["mapping"] = self.resolved_mapping()
         if spec.accepts_config:
             key["config"] = asdict(self.config or SSyncConfig())
-        object.__setattr__(self, "_compile_key", key)
         return key
 
     def compile_fingerprint(self) -> str:
         """Fingerprint of the compilation inputs (the schedule-cache key).
 
-        Memoised per instance: hashing re-serialises the whole gate list,
-        and a batch run asks for each fingerprint several times.
+        Memoised per instance (only the digest is kept): a batch run asks
+        for each fingerprint several times.
         """
         cached = self.__dict__.get("_compile_fingerprint")
         if cached is None:

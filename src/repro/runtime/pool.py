@@ -17,7 +17,8 @@ Every schedule — fresh or cached, local or from a worker — travels as
 plain serialised data and is re-evaluated in the parent process, so the
 result **records are byte-identical** across the serial, parallel and
 warm-cache paths; only the timing side-channel (``compile_time_s``,
-``from_cache``) differs.
+``from_cache``) differs.  A run decodes each distinct schedule once and
+evaluates every job that shares it from that one decode.
 
 Two service-oriented modes layer on top of the same engine:
 
@@ -53,6 +54,7 @@ import multiprocessing
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
@@ -60,6 +62,7 @@ from repro.exceptions import ReproError
 from repro.noise.evaluator import evaluate_schedule
 from repro.runtime.cache import CachedCompilation, CacheStats, ScheduleCache
 from repro.runtime.jobs import CompileJob, compile_job
+from repro.schedule.schedule import Schedule
 
 
 def _compile_entry(
@@ -314,6 +317,12 @@ class BatchCompiler:
 
         outcomes: list[JobOutcome] = []
         worker_pids: set[int] = set()
+        # Each distinct schedule is decoded once, on its first outcome, and
+        # dropped after its last one: the four gate-implementation
+        # evaluations of one compilation share a single decode, and no
+        # decoded schedule outlives this run.
+        decoded: dict[str, Schedule] = {}
+        uses_left = Counter(compile_fps)
 
         def _drain() -> None:
             """Emit every job whose compilation is resolved, in job order."""
@@ -322,8 +331,18 @@ class BatchCompiler:
                 entry = entries.get(fingerprint)
                 if entry is None:
                     return
+                schedule = decoded.get(fingerprint)
+                if schedule is None:
+                    schedule = decoded[fingerprint] = entry.schedule()
+                uses_left[fingerprint] -= 1
+                if not uses_left[fingerprint]:
+                    del decoded[fingerprint]
                 outcome = self._build_outcome(
-                    jobs[len(outcomes)], fingerprint, entry, from_cache[fingerprint]
+                    jobs[len(outcomes)],
+                    fingerprint,
+                    entry,
+                    schedule,
+                    from_cache[fingerprint],
                 )
                 outcomes.append(outcome)
                 if on_outcome is not None:
@@ -525,9 +544,10 @@ class BatchCompiler:
         job: CompileJob,
         compile_fingerprint: str,
         entry: CachedCompilation,
+        schedule: Schedule,
         cached: bool,
     ) -> JobOutcome:
-        schedule = entry.schedule()
+        """Evaluate ``entry``'s decoded ``schedule`` under ``job``'s settings."""
         implementation = job.resolved_gate_implementation()
         evaluation = evaluate_schedule(
             schedule, gate_implementation=implementation, heating=job.heating

@@ -418,7 +418,7 @@ class CompilationService:
         return (
             existing.replayed
             and existing.finished
-            and not existing.outcomes
+            and not existing.encoded_lines
             and existing.stored_lines is None
         )
 
@@ -488,31 +488,10 @@ class CompilationService:
     def _stream_lines(
         self, job: ServiceJob, timeout: float | None
     ) -> Iterator[dict[str, object]]:
-        if job.stored_lines is not None:
-            for line in job.stored_lines:
-                yield json.loads(line)
-            return
-        for index, outcome in enumerate(job.iter_outcomes(timeout=timeout)):
-            yield {
-                "type": "outcome",
-                "job_id": job.job_id,
-                "index": index,
-                "fingerprint": outcome.fingerprint,
-                "compile_fingerprint": outcome.compile_fingerprint,
-                "record": dict(outcome.record),
-                "compile_time_s": outcome.compile_time_s,
-                "from_cache": outcome.from_cache,
-            }
-        end: dict[str, object] = {
-            "type": "end",
-            "job_id": job.job_id,
-            "status": job.status,
-        }
-        if job.summary is not None:
-            end["summary"] = dict(job.summary)
-        if job.error is not None:
-            end["error"] = dict(job.error)
-        yield end
+        # Parsed from the byte stream itself, so the two streams cannot
+        # diverge.
+        for line in self._stream_encoded(job, timeout):
+            yield json.loads(line)
 
     def stream_encoded(
         self, job_id: str, timeout: float | None = None

@@ -2,10 +2,12 @@
 
 A :class:`ServiceJob` tracks one submitted manifest through its life
 cycle (``queued`` → ``running`` → ``done``/``failed``/``cancelled``) and
-buffers the :class:`~repro.runtime.pool.JobOutcome` items the batch
-engine delivers via its completion callback.  All mutation happens under
-one condition variable, so any number of HTTP handler threads can stream
-outcomes while a scheduler slot thread appends them.
+buffers the streamed ndjson line of each
+:class:`~repro.runtime.pool.JobOutcome` the batch engine delivers via
+its completion callback — the encoded line is the job's only outcome
+buffer.  All mutation happens under one condition variable, so any
+number of HTTP handler threads can stream outcomes while a scheduler
+slot thread appends them.
 
 Job ids are **derived from the compile-job fingerprints** (not from a
 counter or a clock): the same manifest always maps to the same id, which
@@ -70,7 +72,6 @@ class ServiceJob:
         self.jobs: list[CompileJob] = list(jobs)
         self.priority = int(priority)
         self.status = "queued"
-        self.outcomes: list[JobOutcome] = []
         self.outcome_times: list[float] = []
         # Pre-encoded ndjson "outcome" lines, one per outcome, built once
         # when the outcome lands.  Every client replaying this job's
@@ -144,8 +145,7 @@ class ServiceJob:
         ``{"type": "outcome", ...}`` dict with sorted keys.
         """
         with self._cond:
-            index = len(self.outcomes)
-            self.outcomes.append(outcome)
+            index = len(self.encoded_lines)
             self.outcome_times.append(time.monotonic())
             # Sorted key order of the full line dict is: compile_fingerprint,
             # compile_time_s, fingerprint, from_cache, index, job_id,
@@ -246,42 +246,17 @@ class ServiceJob:
     def finished(self) -> bool:
         return self.status in TERMINAL_STATUSES
 
-    def iter_outcomes(self, timeout: float | None = None) -> Iterator[JobOutcome]:
-        """Yield outcomes in job order, blocking until each is available.
-
-        The iterator ends when every buffered outcome has been yielded
-        and the job has reached a terminal state; a job that fails (or is
-        cancelled) mid-batch still yields the outcomes that landed before
-        the interruption.  ``timeout`` bounds the *total* wait; exceeding
-        it raises :class:`TimeoutError`.
-        """
-        index = 0
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._cond:
-                while len(self.outcomes) <= index and not self.finished:
-                    if deadline is None:
-                        self._cond.wait()
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0 or not self._cond.wait(remaining):
-                            if len(self.outcomes) <= index and not self.finished:
-                                raise TimeoutError(
-                                    f"timed out streaming job {self.job_id!r}"
-                                )
-                if len(self.outcomes) <= index:
-                    return
-                outcome = self.outcomes[index]
-                index += 1
-            yield outcome
-
     def iter_encoded_lines(self, timeout: float | None = None) -> Iterator[bytes]:
-        """Yield the pre-encoded outcome lines, blocking like
-        :meth:`iter_outcomes`.
+        """Yield the pre-encoded outcome lines in job order, blocking until
+        each is available.
 
         These are the bytes :meth:`add_outcome` built when each outcome
         landed — the streaming transport writes them to the wire without
-        any re-serialisation.  ``timeout`` bounds the total wait.
+        any re-serialisation.  The iterator ends when every buffered line
+        has been yielded and the job has reached a terminal state; a job
+        that fails (or is cancelled) mid-batch still yields the lines that
+        landed before the interruption.  ``timeout`` bounds the *total*
+        wait; exceeding it raises :class:`TimeoutError`.
         """
         index = 0
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -319,8 +294,8 @@ class ServiceJob:
                 "jobs": self._total_jobs,
                 "completed": (
                     len(self.stored_lines) - 1
-                    if self.stored_lines is not None and not self.outcomes
-                    else len(self.outcomes)
+                    if self.stored_lines is not None and not self.encoded_lines
+                    else len(self.encoded_lines)
                 ),
                 "created_at": self.created_at,
                 "started_at": self.started_at,

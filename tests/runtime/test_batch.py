@@ -15,9 +15,10 @@ from repro.analysis.sweeps import (
 from repro.circuit.library import qft_circuit
 from repro.hardware.topologies import grid_device
 from repro.runtime.api import run_batch, run_sweep
-from repro.runtime.cache import ScheduleCache
+from repro.runtime.cache import CachedCompilation, ScheduleCache
 from repro.runtime.jobs import CompileJob
 from repro.runtime.pool import BatchCompiler
+from repro.schedule.schedule import Schedule
 
 
 def _sweep_jobs():
@@ -190,3 +191,32 @@ class TestBatchResult:
         rows = run_sweep([CompileJob(circuit="qft_10", device="G-2x2")], workers=1)
         assert rows[0]["compile_time_s"] > 0
         assert rows[0]["from_cache"] is False
+
+
+class TestDecodeOncePerRun:
+    def test_each_distinct_schedule_is_decoded_once_per_run(self, monkeypatch):
+        # Interleaved, so a schedule's uses are not adjacent in job order.
+        jobs = [
+            CompileJob(circuit=circuit, device="G-2x2", gate_implementation=gate)
+            for gate in ("fm", "pm", "am1", "am2")
+            for circuit in ("qft_6", "bv_7")
+        ]
+        engine = BatchCompiler(workers=1)
+        cold = engine.run(jobs)
+        decodes = []
+        original = CachedCompilation.schedule
+
+        def counting(entry):
+            decodes.append(entry)
+            return original(entry)
+
+        monkeypatch.setattr(CachedCompilation, "schedule", counting)
+        warm = engine.run(jobs)
+        assert len(decodes) == 2
+        assert warm.records() == cold.records()
+        # Nothing decoded is carried over: the next run decodes again, and
+        # the cached entries hold blobs, not schedules.
+        engine.run(jobs)
+        assert len(decodes) == 4
+        for entry in decodes:
+            assert not any(isinstance(value, Schedule) for value in vars(entry).values())

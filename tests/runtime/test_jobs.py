@@ -10,6 +10,7 @@ from repro.circuit.library import build_benchmark, qft_circuit
 from repro.core.compiler import SSyncConfig
 from repro.exceptions import ReproError
 from repro.hardware.presets import paper_device
+from repro.runtime import jobs as jobs_module
 from repro.runtime.jobs import (
     CompileJob,
     circuit_fingerprint,
@@ -87,6 +88,48 @@ class TestFingerprints:
         assert device_fingerprint(paper_device("G-2x2", 6)) != device_fingerprint(
             paper_device("G-2x2", 8)
         )
+
+    def test_golden_fingerprints(self):
+        """Cache keys, job ids and records hang off these digests: pinned."""
+        job = CompileJob(circuit="qft_10", device="G-2x2")
+        assert job.compile_fingerprint() == (
+            "ebac9ff571d2a94163f38cb5f68ab232b93fafedd05fed1eb1eff3be0726315d"
+        )
+        assert job.fingerprint() == (
+            "52bd8c8334c96589067ab8a13055d29044bfc3bc48ee6aae09936fef73bfae4f"
+        )
+
+    def test_named_circuit_is_built_once_for_many_jobs(self, monkeypatch):
+        builds = []
+
+        def counting_build(name):
+            builds.append(name)
+            return build_benchmark(name)
+
+        monkeypatch.setattr(jobs_module, "build_benchmark", counting_build)
+        jobs_module._named_fingerprint.cache_clear()
+        jobs = [
+            CompileJob(circuit="qft_11", device="G-2x2", label=str(index))
+            for index in range(100)
+        ]
+        fingerprints = {(job.compile_fingerprint(), job.fingerprint()) for job in jobs}
+        assert len(fingerprints) == 1
+        assert builds == ["qft_11"]
+        # The memo keys on content-free names but yields content digests.
+        concrete = CompileJob(circuit=build_benchmark("qft_11"), device="G-2x2")
+        assert fingerprints == {(concrete.compile_fingerprint(), concrete.fingerprint())}
+
+    def test_named_device_memo_tells_capacity_types_apart(self):
+        assert CompileJob(circuit="qft_4", device="G-2x2", capacity=True).compile_fingerprint() != (
+            CompileJob(circuit="qft_4", device="G-2x2", capacity=1).compile_fingerprint()
+        )
+
+    def test_jobs_keep_only_digests(self):
+        job = CompileJob(circuit="qft_10", device="G-2x2")
+        job.fingerprint()
+        job.compile_fingerprint()
+        memoised = {name for name in vars(job) if name.startswith("_")}
+        assert memoised == {"_fingerprint", "_compile_fingerprint"}
 
 
 class TestJobResolution:

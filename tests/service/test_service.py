@@ -67,6 +67,13 @@ class TestEndToEndParity:
         for line, cached in zip(replay, job.encoded_lines):
             assert line is cached
 
+    def test_streamed_lines_share_their_key_strings(self, service_stack):
+        _, client = service_stack
+        job_id = client.submit_file(SMOKE_MANIFEST)["job_id"]
+        first, second = client.records(job_id)
+        assert first.keys() == second.keys()
+        assert all(a is b for a, b in zip(first, second))
+
     def test_repeated_submission_is_idempotent(self, service_stack):
         _, client = service_stack
         first = client.submit_file(SMOKE_MANIFEST)

@@ -229,7 +229,7 @@ class TestGracefulShutdown:
         engine = StubEngine(outcomes_per_run=2, gates={1: hold})
         service = CompilationService(engine=engine, slots=1)
         job, _ = service.submit_document(manifest("qft_8", "slow"))
-        wait_until(lambda: len(job.outcomes) == 1)
+        wait_until(lambda: len(job.encoded_lines) == 1)
         service.close(drain_timeout=0.1)  # far shorter than the block
         assert job.cancel_requested
         hold.set()  # the daemon slot hits the cancellation point next
@@ -291,7 +291,8 @@ class TestJournalReplay:
             wait_until(lambda: again.finished)
             assert again.status == "done"
             assert again.summary["compilations"] == 0
-            assert len(again.outcomes) == 1 and again.outcomes[0].from_cache
+            assert len(again.encoded_lines) == 1
+            assert json.loads(again.encoded_lines[0])["from_cache"]
         finally:
             restarted.close(drain_timeout=WAIT)
 
@@ -327,7 +328,7 @@ class TestJournalReplay:
             # The compile fingerprints were cached by the first service:
             # recovery re-runs the batch without recompiling anything.
             assert job.summary["compilations"] == 0
-            assert all(outcome.from_cache for outcome in job.outcomes)
+            assert all(json.loads(line)["from_cache"] for line in job.encoded_lines)
         finally:
             restarted.close(drain_timeout=WAIT)
 
@@ -400,7 +401,7 @@ class TestJournalReplay:
             engine=engine, slots=1, journal_path=tmp_path / "j.jsonl"
         )
         job, _ = service.submit_document(manifest("qft_8", "slow"))
-        wait_until(lambda: len(job.outcomes) == 1)
+        wait_until(lambda: len(job.encoded_lines) == 1)
         service.close(drain_timeout=0.1)
         states = {
             s["job_id"]: s["status"] for s in replay_journal(tmp_path / "j.jsonl")
