@@ -33,8 +33,8 @@ The committed JSON carries:
 * ``backend_speedups`` — flat versus incremental per shoot-out point;
 * ``serialization`` — the artifact-path section: encode/decode times
   and sizes of the binary schedule codec versus the JSON document form
-  at the gate point, plus measured disk-hit latency through a real
-  ``ScheduleCache`` (binary v3 entry versus a legacy v2 JSON entry).
+  at the gate point, plus measured disk-hit latency of a binary v4
+  entry through a real ``ScheduleCache``.
 
 Usage::
 
@@ -349,46 +349,24 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _time_disk_hits(
-    entry: CachedCompilation, repeats: int
-) -> tuple[float, float]:
-    """Best-of-N cold disk-hit latency: (binary v3, legacy v2 JSON).
+def _time_disk_hit(entry: CachedCompilation, repeats: int) -> float:
+    """Best-of-N cold disk-hit latency of a binary ``.sched`` entry.
 
     Each sample builds a fresh :class:`ScheduleCache` (empty memory
     tier), hits the on-disk entry, and fully materialises the cached
     schedule — the complete price a worker pays to reuse a compilation
-    after a restart.  The legacy samples rewrite the ``.json`` file each
-    round because a hit migrates it to binary, so their number includes
-    the one-time migration cost a real upgrade pays.
+    after a restart.
     """
-    binary_best = float("inf")
-    legacy_best = float("inf")
-    legacy_doc = entry.to_dict()
-    legacy_doc["format_version"] = 2
-    legacy_text = json.dumps(legacy_doc, sort_keys=True)
+    best = float("inf")
     with tempfile.TemporaryDirectory() as tmp:
-        binary_dir = Path(tmp) / "binary"
-        legacy_dir = Path(tmp) / "legacy"
-        binary_dir.mkdir()
-        legacy_dir.mkdir()
-        ScheduleCache(directory=binary_dir).put("fp", entry)
+        ScheduleCache(directory=tmp).put("fp", entry)
         for _ in range(repeats):
-            cache = ScheduleCache(directory=binary_dir)
+            cache = ScheduleCache(directory=tmp)
             started = time.perf_counter()
             loaded = cache.get("fp")
             list(loaded.schedule())
-            binary_best = min(binary_best, time.perf_counter() - started)
-
-            # A hit migrates the JSON entry to binary; start each legacy
-            # sample from the pre-migration state.
-            (legacy_dir / "fp.sched").unlink(missing_ok=True)
-            (legacy_dir / "fp.json").write_text(legacy_text)
-            cache = ScheduleCache(directory=legacy_dir)
-            started = time.perf_counter()
-            loaded = cache.get("fp")
-            list(loaded.schedule())
-            legacy_best = min(legacy_best, time.perf_counter() - started)
-    return binary_best, legacy_best
+            best = min(best, time.perf_counter() - started)
+    return best
 
 
 def measure_serialization(repeats: int = 5) -> dict[str, Any]:
@@ -417,7 +395,7 @@ def measure_serialization(repeats: int = 5) -> dict[str, Any]:
         lambda: list(schedule_from_dict(json.loads(json_text))), repeats
     )
     binary_decode_s = _best_of(lambda: list(schedule_from_bytes(blob)), repeats)
-    disk_hit_binary_s, disk_hit_legacy_s = _time_disk_hits(entry, repeats)
+    disk_hit_binary_s = _time_disk_hit(entry, repeats)
 
     section = {
         "circuit": GATE_CIRCUIT,
@@ -437,13 +415,12 @@ def measure_serialization(repeats: int = 5) -> dict[str, Any]:
         "entry_binary_bytes": len(entry_blob),
         "entry_size_ratio": round(entry_json_bytes / max(len(entry_blob), 1), 2),
         "disk_hit_binary_seconds": round(disk_hit_binary_s, 6),
-        "disk_hit_legacy_json_seconds": round(disk_hit_legacy_s, 6),
     }
     print(
         f"{'serialization':>20}  {GATE_CIRCUIT}_{GATE_SIZE} on {device_name}  "
         f"decode {section['decode_speedup']}x  "
         f"entry size {section['entry_size_ratio']}x  "
-        f"disk hit {disk_hit_binary_s:.4f}s vs {disk_hit_legacy_s:.4f}s legacy",
+        f"disk hit {disk_hit_binary_s:.4f}s",
         flush=True,
     )
     return section

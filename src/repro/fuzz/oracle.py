@@ -18,7 +18,11 @@ For a scenario the oracle
    invariants the analysis layer trusts: success rate in ``[0, 1]``,
    positive makespan on a non-empty schedule, an executed two-qubit
    gate count equal to the circuit's, and an evaluation identical to the
-   evaluator's per-record reference walk.
+   evaluator's per-record reference walk;
+6. checks, on every schedule it sees (each backend, each baseline and
+   the decoded copy), that a gate's kind code is ``GATE_2Q`` exactly
+   when ``gate.is_two_qubit`` holds — the evaluator branches on the
+   code, while its reference walk reads the gate.
 
 Any violation raises :class:`OracleFailure` naming the failed check; a
 clean pass returns an :class:`OracleReport` listing every check run.
@@ -35,6 +39,8 @@ from repro.exceptions import ReproError
 from repro.fuzz.scenario import Scenario
 from repro.noise.evaluator import EvaluatorConfig, ScheduleEvaluator
 from repro.registry import make_pipeline
+from repro.schedule.operations import KIND_CODE_GATE_2Q
+from repro.schedule.schedule import Schedule
 from repro.schedule.serialize import (
     schedule_from_bytes,
     schedule_from_json,
@@ -119,6 +125,7 @@ def run_oracle(
             lambda config=config: SSyncCompiler(device, config).compile(circuit),
         )
         checks.append(f"compile:{backend}")
+        _check_kind_codes(scenario, backend, results[backend].schedule, checks)
 
     reference = results[backends[0]]
     reference_bytes = _guarded(
@@ -178,6 +185,7 @@ def run_oracle(
             scenario, "codec:binary", "binary round-trip changed the operation log"
         )
     checks.append("codec:binary")
+    _check_kind_codes(scenario, "decoded", decoded, checks)
 
     json_trip = _guarded(
         scenario,
@@ -201,6 +209,7 @@ def run_oracle(
             lambda baseline=baseline: make_pipeline(baseline, device).compile(circuit),
         )
         checks.append(f"compile:{baseline}")
+        _check_kind_codes(scenario, baseline, result.schedule, checks)
         _guarded(
             scenario,
             f"verify:{baseline}",
@@ -256,6 +265,28 @@ def _guarded(scenario: Scenario, check: str, thunk):
         raise
     except Exception as exc:
         raise OracleFailure(scenario, check, f"{type(exc).__name__}: {exc}") from exc
+
+
+def _check_kind_codes(
+    scenario: Scenario, label: str, schedule: Schedule, checks: list[str]
+) -> None:
+    """Each gate's kind code is ``GATE_2Q`` exactly when it is a 2q gate."""
+    slab = schedule.to_slab()
+    codes = [code for code in slab.kinds if code <= KIND_CODE_GATE_2Q]
+    if len(codes) != len(slab.gates):
+        raise OracleFailure(
+            scenario,
+            f"kinds:{label}",
+            f"{len(codes)} gate kind codes for {len(slab.gates)} gates",
+        )
+    for index, (code, gate) in enumerate(zip(codes, slab.gates)):
+        if (code == KIND_CODE_GATE_2Q) != gate.is_two_qubit:
+            raise OracleFailure(
+                scenario,
+                f"kinds:{label}",
+                f"gate {index} ({gate}) carries kind code {code}",
+            )
+    checks.append(f"kinds:{label}")
 
 
 def _check_noise(

@@ -115,7 +115,11 @@ class ScheduleEvaluator:
 
         The walk reads the schedule's :class:`OperationSlab` columns
         directly (a record-backed schedule is columnarised first), so no
-        per-operation record object is built.  Gate durations are
+        per-operation record object is built, and it tells one- from
+        two-qubit gates by kind code, so a decoded schedule builds no
+        :class:`~repro.circuit.gate.Gate` either (every producer sets
+        ``GATE_2Q`` exactly when ``gate.is_two_qubit``; the fuzz oracle
+        checks this).  Gate durations are
         memoised per (chain length, ion separation), amplitude factors
         per chain length and shuttle durations per (segments,
         junctions), all within this call.  The arithmetic is the Eq.-(4)
@@ -170,7 +174,7 @@ class ScheduleEvaluator:
         total_shuttle_time = 0.0
 
         next_gate = zip(
-            slab.gates, slab.gate_traps, slab.gate_chain_lengths, slab.gate_ion_separations
+            slab.gate_traps, slab.gate_chain_lengths, slab.gate_ion_separations
         ).__next__
         next_swap = zip(
             slab.swap_traps, slab.swap_chain_lengths, slab.swap_ion_separations
@@ -187,9 +191,9 @@ class ScheduleEvaluator:
 
         for code in slab.kinds:
             if code <= KIND_CODE_GATE_2Q:
-                gate, trap, chain_length, ion_separation = next_gate()
+                trap, chain_length, ion_separation = next_gate()
                 mean_phonon = phonon.setdefault(trap, 0.0)
-                if gate.is_two_qubit:
+                if code == KIND_CODE_GATE_2Q:
                     duration = durations[chain_length, ion_separation]
                     pending = idle.pop(trap, 0.0)
                     # Eq. (4).  It never exceeds 1 and the floor keeps it

@@ -6,11 +6,11 @@ sweep-shaped convenience used by :mod:`repro.analysis.sweeps`, returning
 flat row dictionaries (record + compile time) in job order.
 
 Schedules move through this layer on the binary artifact path: worker
-processes return compiled entries as cache-format-v3 byte blobs, the
+processes return compiled entries as cache-format-v4 byte blobs, the
 :class:`ScheduleCache` stores those same bytes on disk
 (``<fingerprint>.sched``), and decoding is lazy — callers that only
 read records or statistics never materialise operation objects.  See
-``docs/architecture.md`` (cache format v3) for the wire layout.
+``docs/architecture.md`` (cache format v4) for the wire layout.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from enum import Enum
+from typing import NamedTuple
 
 from repro.circuit.gate import Gate
 from repro.exceptions import SchedulingError
@@ -305,6 +306,68 @@ class SpaceShiftOperation(ScheduledOperation):
         return abs(self.to_position - self.from_position)
 
 
+class GateOperands(NamedTuple):
+    """The program gates of a slab as flat columns (the codec's wire image).
+
+    ``names`` is the gate-name table, interned in first-appearance order;
+    ``name_ids``, ``qubit_counts`` and ``param_counts`` hold one int32 per
+    gate; ``qubits`` (int32) and ``params`` (float64) concatenate every
+    gate's operands in gate order, so their lengths are the sums of the
+    count columns.
+    """
+
+    names: "tuple[str, ...]"
+    name_ids: "array[int]"
+    qubit_counts: "array[int]"
+    param_counts: "array[int]"
+    qubits: "array[int]"
+    params: "array[float]"
+
+    @classmethod
+    def from_gates(cls, gates: "list[Gate]") -> "GateOperands":
+        """Columnarise a gate list (the encoder's path for emitted slabs)."""
+        table: "dict[str, int]" = {}
+        intern = table.setdefault
+        name_ids = array("i", [intern(gate.name, len(table)) for gate in gates])
+        return cls(
+            names=tuple(table),  # insertion order == id order
+            name_ids=name_ids,
+            qubit_counts=array("i", [len(gate.qubits) for gate in gates]),
+            param_counts=array("i", [len(gate.params) for gate in gates]),
+            qubits=array("i", [qubit for gate in gates for qubit in gate.qubits]),
+            params=array("d", [param for gate in gates for param in gate.params]),
+        )
+
+    def build(self) -> "list[Gate]":
+        """Rebuild the :class:`Gate` list without re-running validation.
+
+        The columns come from a decoded document whose counts and name
+        ids were range-checked at decode time, and every gate was valid
+        when it was encoded.
+        """
+        names = self.names
+        qubits = tuple(self.qubits)
+        params = tuple(self.params)
+        new = object.__new__
+        set_attr = object.__setattr__
+        gates: "list[Gate]" = []
+        append = gates.append
+        q = p = 0
+        for name_id, n_qubits, n_params in zip(
+            self.name_ids, self.qubit_counts, self.param_counts
+        ):
+            gate = new(Gate)
+            set_attr(gate, "name", names[name_id])
+            set_attr(gate, "qubits", qubits[q : q + n_qubits])
+            set_attr(gate, "params", params[p : p + n_params])
+            set_attr(gate, "is_single_qubit", n_qubits == 1)
+            set_attr(gate, "is_two_qubit", n_qubits == 2)
+            append(gate)
+            q += n_qubits
+            p += n_params
+        return gates
+
+
 class OperationSlab:
     """Columnar storage for an operation log: one array per field.
 
@@ -322,11 +385,21 @@ class OperationSlab:
     objects on demand (through the validation-free constructors — slab
     producers assert the invariants), which is what keeps slab-backed
     and object-backed schedules field-for-field identical.
+
+    A slab emitted by a scheduler holds its program gates as a
+    :class:`Gate` list in ``gates``.  A decoded slab
+    (:meth:`from_gate_operands`) holds them as :class:`GateOperands`
+    columns in ``gate_operands`` instead and leaves the ``gates`` slot
+    unset: the first read of ``slab.gates`` builds the list once and
+    drops the columns.  Kind codes and the per-kind integer columns are
+    all the noise evaluator reads, so evaluating a decoded schedule
+    builds no gate.
     """
 
     __slots__ = (
         "kinds",
         "gates",
+        "gate_operands",
         "gate_traps",
         "gate_chain_lengths",
         "gate_ion_separations",
@@ -351,6 +424,7 @@ class OperationSlab:
     def __init__(self) -> None:
         self.kinds = bytearray()
         self.gates: list[Gate] = []
+        self.gate_operands: GateOperands | None = None
         self.gate_traps = array("i")
         self.gate_chain_lengths = array("i")
         self.gate_ion_separations = array("i")
@@ -373,6 +447,40 @@ class OperationSlab:
 
     def __len__(self) -> int:
         return len(self.kinds)
+
+    # ------------------------------------------------------------------
+    # gates on demand (decoded slabs)
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_gate_operands(cls, operands: GateOperands) -> "OperationSlab":
+        """An empty slab whose gates are built from ``operands`` on first read.
+
+        The caller fills the kinds and the integer columns; the gate
+        count of ``kinds`` must match the operand columns.
+        """
+        slab = cls()
+        del slab.gates
+        slab.gate_operands = operands
+        return slab
+
+    def __getattr__(self, name: str) -> "list[Gate]":
+        # Normal lookup failed, so this is an unset slot.  Only ``gates``
+        # is ever left unset (by from_gate_operands); everything else is a
+        # genuine missing attribute.  Slots that are set never get here,
+        # so the emission path pays nothing for the laziness.
+        if name != "gates":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        operands = self.gate_operands
+        if operands is None:  # another thread built the list after our lookup failed
+            return object.__getattribute__(self, "gates")
+        gates = self.gates = operands.build()
+        self.gate_operands = None  # appends now go to the list; drop the stale columns
+        return gates
+
+    def operand_columns(self) -> GateOperands:
+        """The program gates as columns: a decoded slab's own, else from ``gates``."""
+        operands = self.gate_operands
+        return operands if operands is not None else GateOperands.from_gates(self.gates)
 
     # ------------------------------------------------------------------
     # typed appends (the scheduler hot path)

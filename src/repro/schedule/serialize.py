@@ -15,15 +15,21 @@ stable since format version 1) or a **columnar binary encoding**
 * an interned gate-name string table in first-appearance order;
 * one *kind code* byte per operation in schedule order
   (:data:`~repro.schedule.operations.KIND_CODE_GATE_1Q` ...), followed
-  by one little-endian ``int32`` column per operation field, grouped by
-  kind — the wire image of an
-  :class:`~repro.schedule.operations.OperationSlab`;
-* varint-framed qubit lists and float64 parameters for the gates.
+  by fixed-width little-endian columns — the wire image of an
+  :class:`~repro.schedule.operations.OperationSlab`:
 
-Decoding reads the columns wholesale into arrays and hands them to
-:meth:`Schedule.from_slab`, so no per-operation record objects are built
-until somebody iterates the schedule — which is what makes binary disk
-hits several times cheaper than re-parsing the JSON document.
+  - per gate, ``int32`` name id, trap, chain length, ion separation,
+    qubit count and parameter count;
+  - every gate's qubits as ``int32`` and every parameter as ``float64``
+    (the two column lengths are the sums of the count columns);
+  - the ``int32`` swap, shuttle and space-shift columns.
+
+Decoding reads every column wholesale with ``array.frombytes`` and
+range-checks it with C-level ``min``/``max``/``sum``; no loop runs per
+operation or per gate.  The decoded slab keeps the gate operands as
+columns and builds :class:`~repro.circuit.gate.Gate` objects only if a
+caller reads its gates, so evaluating a cached schedule builds no gate
+and re-encoding one writes its columns straight back.
 """
 
 from __future__ import annotations
@@ -39,7 +45,12 @@ from repro.exceptions import ReproError
 from repro.hardware.device import QCCDDevice
 from repro.hardware.trap import Connection, Trap
 from repro.schedule.operations import (
-    KIND_BY_CODE,
+    KIND_CODE_GATE_1Q,
+    KIND_CODE_GATE_2Q,
+    KIND_CODE_SHUTTLE,
+    KIND_CODE_SPACE_SHIFT,
+    KIND_CODE_SWAP,
+    GateOperands,
     GateOperation,
     OperationKind,
     OperationSlab,
@@ -57,7 +68,9 @@ SCHEDULE_FORMAT_VERSION = 1
 SCHEDULE_MAGIC = b"RSCB"
 
 #: Version byte following the magic (bump on incompatible changes).
-SCHEDULE_BINARY_VERSION = 1
+#: Version 2 stores gate operands as fixed-width columns; version 1
+#: stored them as per-gate varints and is no longer read.
+SCHEDULE_BINARY_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -275,38 +288,24 @@ def _read_str(buf: bytes, pos: int) -> "tuple[str, int]":
     return buf[pos:end].decode("utf-8"), end
 
 
-def _write_ints(out: bytearray, column: "array[int]") -> None:
-    """Append one int32 column, always little-endian on the wire."""
+def _write_column(out: bytearray, column: array) -> None:
+    """Append one fixed-width column, always little-endian on the wire."""
     if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
-        column = array("i", column)
+        column = array(column.typecode, column)
         column.byteswap()
     out += column.tobytes()
 
 
-def _read_ints(buf: bytes, pos: int, count: int) -> "tuple[array, int]":
-    end = pos + 4 * count
+def _read_column(buf: bytes, pos: int, typecode: str, count: int) -> "tuple[array, int]":
+    """Read ``count`` little-endian items of ``typecode`` at ``pos``."""
+    column = array(typecode)
+    end = pos + column.itemsize * count
     if end > len(buf):
         raise ReproError("truncated binary schedule document")
-    column = array("i")
     column.frombytes(buf[pos:end])
     if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
         column.byteswap()
     return column, end
-
-
-def _gate_unchecked(
-    name: str, qubits: "tuple[int, ...]", params: "tuple[float, ...]"
-) -> Gate:
-    """Rebuild a gate without re-running validation (trusted decode path)."""
-    gate = object.__new__(Gate)
-    set_attr = object.__setattr__
-    set_attr(gate, "name", name)
-    set_attr(gate, "qubits", qubits)
-    set_attr(gate, "params", params)
-    n = len(qubits)
-    set_attr(gate, "is_single_qubit", n == 1)
-    set_attr(gate, "is_two_qubit", n == 2)
-    return gate
 
 
 # ----------------------------------------------------------------------
@@ -317,10 +316,11 @@ def schedule_to_bytes(schedule: Schedule) -> bytes:
 
     Slab-backed schedules (the flat backend's output, or anything
     decoded by :func:`schedule_from_bytes`) are encoded straight off
-    their columns; classic schedules are columnarised on the fly.  The
-    encoding is deterministic: the same schedule always produces the
-    same bytes (the gate-name table is interned in first-appearance
-    order).
+    their columns — a decoded slab whose gates were never read writes
+    its operand columns back verbatim; classic schedules are
+    columnarised on the fly.  The encoding is deterministic: the same
+    schedule always produces the same bytes (the gate-name table is
+    interned in first-appearance order).
     """
     slab = schedule.to_slab()
     out = bytearray(SCHEDULE_MAGIC)
@@ -342,38 +342,22 @@ def schedule_to_bytes(schedule: Schedule) -> bytes:
         write_varint(out, connection.junctions)
         write_varint(out, connection.segments)
 
-    # Gate-name table, interned in first-appearance order.
-    name_table: "dict[str, int]" = {}
-    name_column = array("i")
-    for gate in slab.gates:
-        index = name_table.setdefault(gate.name, len(name_table))
-        name_column.append(index)
-    write_varint(out, len(name_table))
-    for name in name_table:  # insertion order == index order
+    operands = slab.operand_columns()
+    write_varint(out, len(operands.names))
+    for name in operands.names:
         _write_str(out, name)
 
     write_varint(out, len(slab.kinds))
     out += slab.kinds
-
-    # Gate columns + varint qubit lists + float64 params.
-    _write_ints(out, name_column)
-    _write_ints(out, slab.gate_traps)
-    _write_ints(out, slab.gate_chain_lengths)
-    _write_ints(out, slab.gate_ion_separations)
-    params_flat: "list[float]" = []
-    for gate in slab.gates:
-        qubits = gate.qubits
-        write_varint(out, len(qubits))
-        for qubit in qubits:
-            write_varint(out, qubit)
-    for gate in slab.gates:
-        params = gate.params
-        write_varint(out, len(params))
-        params_flat.extend(params)
-    if params_flat:
-        out += struct.pack(f"<{len(params_flat)}d", *params_flat)
-
     for column in (
+        operands.name_ids,
+        slab.gate_traps,
+        slab.gate_chain_lengths,
+        slab.gate_ion_separations,
+        operands.qubit_counts,
+        operands.param_counts,
+        operands.qubits,
+        operands.params,
         slab.swap_traps,
         slab.swap_qubits_a,
         slab.swap_qubits_b,
@@ -391,18 +375,20 @@ def schedule_to_bytes(schedule: Schedule) -> bytes:
         slab.shift_from_positions,
         slab.shift_to_positions,
     ):
-        _write_ints(out, column)
+        _write_column(out, column)
     return bytes(out)
 
 
 def schedule_from_bytes(data: bytes) -> Schedule:
     """Decode a schedule from :func:`schedule_to_bytes` output.
 
-    The returned schedule is slab-backed: the integer columns are read
-    wholesale and per-operation record objects are only materialised if
-    the caller iterates the schedule.  Raises
-    :class:`~repro.exceptions.ReproError` on a bad magic, an unsupported
-    version or a truncated document.
+    The returned schedule is slab-backed: every column is read wholesale,
+    gate objects are built only if a caller reads the slab's gates, and
+    per-operation record objects only if it iterates the schedule.
+    Raises :class:`~repro.exceptions.ReproError` on a bad magic, an
+    unsupported version, truncation, bytes after the last column, an
+    unknown kind code or gate-name id, a negative operand count or a
+    negative qubit index — all at decode time.
     """
     if data[: len(SCHEDULE_MAGIC)] != SCHEDULE_MAGIC:
         raise ReproError("not a binary schedule document (bad magic)")
@@ -453,68 +439,52 @@ def schedule_from_bytes(data: bytes) -> Schedule:
         raise ReproError("truncated binary schedule document")
     kinds = bytearray(data[pos:end])
     pos = end
-    if any(code >= len(KIND_BY_CODE) for code in kinds):
+    n_gates = kinds.count(KIND_CODE_GATE_1Q) + kinds.count(KIND_CODE_GATE_2Q)
+    n_swaps = kinds.count(KIND_CODE_SWAP)
+    n_shuttles = kinds.count(KIND_CODE_SHUTTLE)
+    n_shifts = kinds.count(KIND_CODE_SPACE_SHIFT)
+    if n_gates + n_swaps + n_shuttles + n_shifts != n_ops:
         raise ReproError("binary schedule document has an unknown operation kind code")
 
-    slab = OperationSlab()
+    name_ids, pos = _read_column(data, pos, "i", n_gates)
+    gate_traps, pos = _read_column(data, pos, "i", n_gates)
+    gate_chain_lengths, pos = _read_column(data, pos, "i", n_gates)
+    gate_ion_separations, pos = _read_column(data, pos, "i", n_gates)
+    qubit_counts, pos = _read_column(data, pos, "i", n_gates)
+    param_counts, pos = _read_column(data, pos, "i", n_gates)
+    if n_gates:
+        if min(name_ids) < 0 or max(name_ids) >= n_names:
+            raise ReproError("binary schedule document references an unknown gate name")
+        if min(qubit_counts) < 0 or min(param_counts) < 0:
+            raise ReproError("binary schedule document has a negative operand count")
+    qubits, pos = _read_column(data, pos, "i", sum(qubit_counts))
+    if qubits and min(qubits) < 0:
+        raise ReproError("binary schedule document has a negative qubit index")
+    params, pos = _read_column(data, pos, "d", sum(param_counts))
+
+    slab = OperationSlab.from_gate_operands(
+        GateOperands(tuple(names), name_ids, qubit_counts, param_counts, qubits, params)
+    )
     slab.kinds = kinds
-    n_gates = kinds.count(0) + kinds.count(1)
-    name_column, pos = _read_ints(data, pos, n_gates)
-    slab.gate_traps, pos = _read_ints(data, pos, n_gates)
-    slab.gate_chain_lengths, pos = _read_ints(data, pos, n_gates)
-    slab.gate_ion_separations, pos = _read_ints(data, pos, n_gates)
-    qubit_lists: "list[tuple[int, ...]]" = []
-    for _ in range(n_gates):
-        n_qubits, pos = read_varint(data, pos)
-        qubits = []
-        for _ in range(n_qubits):
-            qubit, pos = read_varint(data, pos)
-            qubits.append(qubit)
-        qubit_lists.append(tuple(qubits))
-    param_counts = []
-    total_params = 0
-    for _ in range(n_gates):
-        n_params, pos = read_varint(data, pos)
-        param_counts.append(n_params)
-        total_params += n_params
-    if total_params:
-        if pos + 8 * total_params > len(data):
-            raise ReproError("truncated binary schedule document")
-        params_flat = struct.unpack_from(f"<{total_params}d", data, pos)
-        pos += 8 * total_params
-    else:
-        params_flat = ()
-
-    gates = slab.gates
-    cursor = 0
-    for index in range(n_gates):
-        n_params = param_counts[index]
-        params = tuple(params_flat[cursor : cursor + n_params])
-        cursor += n_params
-        try:
-            name = names[name_column[index]]
-        except IndexError:
-            raise ReproError(
-                "binary schedule document references an unknown gate name"
-            ) from None
-        gates.append(_gate_unchecked(name, qubit_lists[index], params))
-
-    slab.swap_traps, pos = _read_ints(data, pos, kinds.count(2))
-    slab.swap_qubits_a, pos = _read_ints(data, pos, len(slab.swap_traps))
-    slab.swap_qubits_b, pos = _read_ints(data, pos, len(slab.swap_traps))
-    slab.swap_chain_lengths, pos = _read_ints(data, pos, len(slab.swap_traps))
-    slab.swap_ion_separations, pos = _read_ints(data, pos, len(slab.swap_traps))
-    n_shuttles = kinds.count(3)
-    slab.shuttle_qubits, pos = _read_ints(data, pos, n_shuttles)
-    slab.shuttle_source_traps, pos = _read_ints(data, pos, n_shuttles)
-    slab.shuttle_target_traps, pos = _read_ints(data, pos, n_shuttles)
-    slab.shuttle_segments, pos = _read_ints(data, pos, n_shuttles)
-    slab.shuttle_junctions, pos = _read_ints(data, pos, n_shuttles)
-    slab.shuttle_source_chain_lengths, pos = _read_ints(data, pos, n_shuttles)
-    slab.shuttle_target_chain_lengths, pos = _read_ints(data, pos, n_shuttles)
-    n_shifts = kinds.count(4)
-    slab.shift_traps, pos = _read_ints(data, pos, n_shifts)
-    slab.shift_qubits, pos = _read_ints(data, pos, n_shifts)
-    slab.shift_from_positions, pos = _read_ints(data, pos, n_shifts)
-    slab.shift_to_positions, pos = _read_ints(data, pos, n_shifts)
+    slab.gate_traps = gate_traps
+    slab.gate_chain_lengths = gate_chain_lengths
+    slab.gate_ion_separations = gate_ion_separations
+    slab.swap_traps, pos = _read_column(data, pos, "i", n_swaps)
+    slab.swap_qubits_a, pos = _read_column(data, pos, "i", n_swaps)
+    slab.swap_qubits_b, pos = _read_column(data, pos, "i", n_swaps)
+    slab.swap_chain_lengths, pos = _read_column(data, pos, "i", n_swaps)
+    slab.swap_ion_separations, pos = _read_column(data, pos, "i", n_swaps)
+    slab.shuttle_qubits, pos = _read_column(data, pos, "i", n_shuttles)
+    slab.shuttle_source_traps, pos = _read_column(data, pos, "i", n_shuttles)
+    slab.shuttle_target_traps, pos = _read_column(data, pos, "i", n_shuttles)
+    slab.shuttle_segments, pos = _read_column(data, pos, "i", n_shuttles)
+    slab.shuttle_junctions, pos = _read_column(data, pos, "i", n_shuttles)
+    slab.shuttle_source_chain_lengths, pos = _read_column(data, pos, "i", n_shuttles)
+    slab.shuttle_target_chain_lengths, pos = _read_column(data, pos, "i", n_shuttles)
+    slab.shift_traps, pos = _read_column(data, pos, "i", n_shifts)
+    slab.shift_qubits, pos = _read_column(data, pos, "i", n_shifts)
+    slab.shift_from_positions, pos = _read_column(data, pos, "i", n_shifts)
+    slab.shift_to_positions, pos = _read_column(data, pos, "i", n_shifts)
+    if pos != len(data):
+        raise ReproError("binary schedule document has trailing bytes after its last column")
     return Schedule.from_slab(device, circuit_name, slab)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.circuit.circuit import QuantumCircuit
@@ -66,3 +70,34 @@ def random_10() -> QuantumCircuit:
 def compiler_linear(linear_2x6: QCCDDevice) -> SSyncCompiler:
     """An S-SYNC compiler bound to the small linear device."""
     return SSyncCompiler(linear_2x6)
+
+
+#: Seconds the session-end check waits for stray threads to finish.
+THREAD_GRACE_S = 5.0
+
+
+def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
+    """Fail the run when a test leaves a non-daemon thread running.
+
+    Such a thread outlives the summary line and then holds the
+    interpreter open, because interpreter exit joins every non-daemon
+    thread.  The tests themselves pass, so nothing else would notice.
+    Each thread gets a share of a short grace join first.
+    """
+    deadline = time.monotonic() + THREAD_GRACE_S
+    lingering = []
+    for thread in threading.enumerate():
+        if thread is threading.main_thread() or thread.daemon:
+            continue
+        thread.join(max(0.0, deadline - time.monotonic()))
+        if thread.is_alive():
+            lingering.append(thread.name)
+    if lingering:
+        message = "non-daemon threads still alive at session end: " + ", ".join(lingering)
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.ensure_newline()
+            reporter.write_line(message, red=True)
+        else:
+            print(message, file=sys.stderr)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -14,6 +14,7 @@ from repro.fuzz import (
     run_oracle,
 )
 from repro.hardware.topologies import linear_device
+from repro.schedule.operations import OperationKind
 from repro.schedule.serialize import device_to_dict, schedule_to_bytes
 
 
@@ -38,6 +39,14 @@ class TestOraclePasses:
         assert {"verify:s-sync", "codec:binary", "codec:json"} <= names
         assert {"noise:s-sync:fm", "noise:s-sync:am2"} <= names
         assert {"compile:murali", "verify:murali", "compile:dai", "verify:dai"} <= names
+        assert {
+            "kinds:naive",
+            "kinds:flat",
+            "kinds:incremental",
+            "kinds:decoded",
+            "kinds:murali",
+            "kinds:dai",
+        } <= names
 
     def test_generated_scenarios_pass(self):
         for scenario in ScenarioGenerator(123).generate(8):
@@ -72,6 +81,21 @@ class TestOracleFailures:
         with pytest.raises(OracleFailure) as excinfo:
             run_oracle(_small_scenario())
         assert excinfo.value.check.startswith("parity:")
+
+    def test_mislabelled_gate_kind_is_caught(self, monkeypatch):
+        """A kind code that disagrees with ``gate.is_two_qubit`` trips ``kinds:*``."""
+        real = oracle_module.SSyncCompiler.compile
+
+        def mislabelled(self, circuit):
+            result = real(self, circuit)
+            operation = next(op for op in result.schedule if op.kind is OperationKind.GATE_2Q)
+            operation.kind = OperationKind.GATE_1Q
+            return result
+
+        monkeypatch.setattr(oracle_module.SSyncCompiler, "compile", mislabelled)
+        with pytest.raises(OracleFailure) as excinfo:
+            run_oracle(_small_scenario())
+        assert excinfo.value.check == "kinds:naive"
 
     def test_compiler_crash_is_folded_into_oracle_failure(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.exceptions import ReproError
+from repro.runtime.api import run_batch
 from repro.runtime.cache import CACHE_FORMAT_VERSION, CachedCompilation, ScheduleCache
 from repro.runtime.jobs import CompileJob, compile_job
 
@@ -31,7 +32,6 @@ class TestMemoryTier:
             "evictions": 0,
             "disk_hits": 0,
             "disk_evictions": 0,
-            "migrations": 0,
             "network_hits": 0,
             "network_misses": 0,
             "network_stores": 0,
@@ -72,11 +72,6 @@ class TestDiskTier:
         fresh.get("fp")
         assert fresh.stats.hits == 2
         assert fresh.stats.disk_hits == 1  # second hit came from memory
-
-    def test_corrupt_legacy_entry_rejected(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{not json")
-        with pytest.raises(ReproError):
-            ScheduleCache(directory=tmp_path).get("bad")
 
     def test_corrupt_binary_entry_rejected(self, tmp_path):
         (tmp_path / "bad.sched").write_bytes(b"not a cache entry")
@@ -167,10 +162,6 @@ class TestDiskBudget:
 
 
 class TestEntryFormat:
-    def test_dict_round_trip(self, entry):
-        rebuilt = CachedCompilation.from_dict(entry.to_dict())
-        assert rebuilt == entry
-
     def test_bytes_round_trip(self, entry):
         blob = entry.to_bytes()
         rebuilt = CachedCompilation.from_bytes(blob)
@@ -178,16 +169,17 @@ class TestEntryFormat:
         assert rebuilt.to_bytes() == blob  # deterministic re-encode
 
     def test_version_mismatch_rejected(self, entry):
-        data = entry.to_dict()
-        data["format_version"] = CACHE_FORMAT_VERSION + 1
-        with pytest.raises(ReproError):
-            CachedCompilation.from_dict(data)
+        raw = bytearray(entry.to_bytes())
+        raw[4] = CACHE_FORMAT_VERSION - 1  # version byte follows the magic
+        with pytest.raises(ReproError, match="version"):
+            CachedCompilation.from_bytes(bytes(raw))
 
-    def test_missing_field_rejected(self, entry):
-        data = entry.to_dict()
-        del data["schedule"]
-        with pytest.raises(ReproError):
-            CachedCompilation.from_dict(data)
+    def test_missing_field_rejected(self):
+        meta = json.dumps({"compiler_name": "s-sync", "compile_time_s": 0.0}).encode()
+        assert len(meta) < 0x80  # so its varint length is one byte
+        raw = b"RCEN" + bytes([CACHE_FORMAT_VERSION, len(meta)]) + meta
+        with pytest.raises(ReproError, match="mapping_name"):
+            CachedCompilation.from_bytes(raw)
 
     def test_bad_magic_rejected(self, entry):
         with pytest.raises(ReproError):
@@ -207,75 +199,22 @@ class TestEntryFormat:
         assert len(entry.to_bytes()) * 2 < json_bytes
 
 
-def _write_legacy_entry(directory, fingerprint, entry):
-    """Write a v2-era JSON entry file, as the old library would."""
-    data = entry.to_dict()
-    data["format_version"] = 2
-    (directory / f"{fingerprint}.json").write_text(json.dumps(data, sort_keys=True))
+class TestLegacyEntries:
+    def test_v2_json_entry_is_a_miss_and_the_rerun_hits_v4(self, tmp_path):
+        """A v2-era JSON entry is not read: one compile, then a .sched hit."""
+        job = CompileJob(circuit="qft_8", device="G-2x2", capacity=6)
+        fingerprint = job.compile_fingerprint()
+        legacy = CachedCompilation.from_result(compile_job(job)).to_dict()
+        legacy["format_version"] = 2
+        (tmp_path / f"{fingerprint}.json").write_text(json.dumps(legacy, sort_keys=True))
 
+        first = run_batch([job], cache_dir=tmp_path)
+        assert first.compilations == 1
+        assert first.cache_stats.hits == 0
+        raw = (tmp_path / f"{fingerprint}.sched").read_bytes()
+        assert raw[4] == CACHE_FORMAT_VERSION == 4
 
-class TestLegacyMigration:
-    """Satellite: v2 JSON entries stay readable and migrate on hit."""
-
-    def test_legacy_entry_served_from_disk(self, tmp_path, entry):
-        _write_legacy_entry(tmp_path, "fp", entry)
-        cache = ScheduleCache(directory=tmp_path)
-        loaded, tier = cache.lookup("fp")
-        assert tier == "disk"
-        assert loaded.schedule().count_summary() == entry.schedule().count_summary()
-
-    def test_legacy_hit_rewrites_as_binary(self, tmp_path, entry):
-        _write_legacy_entry(tmp_path, "fp", entry)
-        cache = ScheduleCache(directory=tmp_path)
-        assert cache.get("fp") is not None
-        assert not (tmp_path / "fp.json").exists()
-        assert (tmp_path / "fp.sched").exists()
-        assert cache.stats.migrations == 1
-        # The migrated file round-trips through a fresh cache.
-        fresh = ScheduleCache(directory=tmp_path)
-        loaded = fresh.get("fp")
-        assert loaded is not None
-        assert fresh.stats.migrations == 0  # already binary, nothing to migrate
-
-    def test_put_supersedes_stale_legacy_file(self, tmp_path, entry):
-        _write_legacy_entry(tmp_path, "fp", entry)
-        cache = ScheduleCache(directory=tmp_path)
-        cache.put("fp", entry)
-        assert not (tmp_path / "fp.json").exists()
-        assert (tmp_path / "fp.sched").exists()
-
-    def test_legacy_entries_counted_by_disk_observability(self, tmp_path, entry):
-        _write_legacy_entry(tmp_path, "a", entry)
-        cache = ScheduleCache(directory=tmp_path)
-        cache.put("b", entry)
-        assert cache.disk_entries() == 2
-        assert cache.disk_bytes() > 0
-        assert "a" in cache and "b" in cache
-
-    def test_clear_disk_removes_legacy_entries(self, tmp_path, entry):
-        _write_legacy_entry(tmp_path, "a", entry)
-        cache = ScheduleCache(directory=tmp_path)
-        cache.put("b", entry)
-        cache.clear(disk=True)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_migrated_entry_recency_is_fresh(self, tmp_path, entry):
-        """A migrated entry carries today's mtime, so the LRU sweep keeps it."""
-        probe = ScheduleCache(directory=tmp_path / "probe")
-        probe.put("probe", entry)
-        size = (tmp_path / "probe" / "probe.sched").stat().st_size
-        work = tmp_path / "work"
-        work.mkdir()
-        _write_legacy_entry(work, "old", entry)
-        os.utime(work / "old.json", (1_000_000, 1_000_000))
-        cache = ScheduleCache(directory=work, max_disk_bytes=2 * size)
-        assert cache.get("old") is not None  # hit migrates + refreshes recency
-        cache.put("new", entry)
-        kept = sorted(p.stem for p in work.glob("*.sched"))
-        assert kept == ["new", "old"]
-
-    def test_ancient_format_version_is_a_miss(self, tmp_path, entry):
-        data = entry.to_dict()
-        data["format_version"] = 1
-        (tmp_path / "fp.json").write_text(json.dumps(data))
-        assert ScheduleCache(directory=tmp_path).get("fp") is None
+        second = run_batch([job], cache_dir=tmp_path)
+        assert second.compilations == 0
+        assert second.cache_stats.disk_hits == 1
+        assert second.records() == first.records()

@@ -2,13 +2,18 @@
 
 Covers exact round-trips for every operation kind (hand-built and
 compiler-produced), a randomized fuzz over mixed-capacity devices, the
-checked-in golden blob that pins the wire format, and the corrupt-input
-error paths.
+checked-in golden blobs that pin the wire format (the current version 2
+and the retired version 1), the corrupt-input error paths, and the
+decoded slab's gates-on-demand contract.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import sys
+import threading
+from array import array
 from pathlib import Path
 
 import pytest
@@ -20,7 +25,13 @@ from repro.exceptions import ReproError
 from repro.hardware.device import QCCDDevice
 from repro.hardware.topologies import grid_device, star_device
 from repro.hardware.trap import Connection, Trap
+from repro.noise.evaluator import ScheduleEvaluator
+from repro.runtime.api import run_batch
+from repro.runtime.cache import CACHE_FORMAT_VERSION, ENTRY_MAGIC
+from repro.runtime.jobs import CompileJob
 from repro.schedule.operations import (
+    KIND_CODE_GATE_2Q,
+    GateOperands,
     GateOperation,
     ShuttleOperation,
     SpaceShiftOperation,
@@ -33,9 +44,12 @@ from repro.schedule.serialize import (
     schedule_from_bytes,
     schedule_to_bytes,
     schedule_to_dict,
+    write_varint,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_schedule.sched"
+#: The same schedule in the retired version-1 encoding (per-gate varints).
+GOLDEN_V1_PATH = Path(__file__).parent / "data" / "golden_schedule_v1.sched"
 
 
 def mixed_capacity_device() -> QCCDDevice:
@@ -200,7 +214,7 @@ class TestFuzz:
 
 
 class TestGoldenBlob:
-    """The checked-in blob pins the wire format across refactors."""
+    """The checked-in blobs pin the wire format: the current and the retired one."""
 
     def test_golden_blob_decodes(self):
         rebuilt = schedule_from_bytes(GOLDEN_PATH.read_bytes())
@@ -208,6 +222,31 @@ class TestGoldenBlob:
 
     def test_golden_blob_is_current_encoding(self):
         assert schedule_to_bytes(every_kind_schedule()) == GOLDEN_PATH.read_bytes()
+
+    def test_version_1_blob_is_rejected_by_version(self):
+        with pytest.raises(ReproError, match="version 1"):
+            schedule_from_bytes(GOLDEN_V1_PATH.read_bytes())
+
+    def test_format_3_cache_entry_is_a_miss(self, tmp_path):
+        """A cache entry of the version-1 era recompiles into a format-4 entry."""
+        job = CompileJob(circuit="qft_6", device="G-2x2")
+        meta = json.dumps(
+            {"compiler_name": "s-sync", "mapping_name": "sta", "compile_time_s": 0.0},
+            sort_keys=True,
+        ).encode("utf-8")
+        stale = bytearray(ENTRY_MAGIC)
+        stale.append(3)
+        write_varint(stale, len(meta))
+        stale += meta + GOLDEN_V1_PATH.read_bytes()
+        path = tmp_path / f"{job.compile_fingerprint()}.sched"
+        path.write_bytes(bytes(stale))
+
+        result = run_batch([job], cache_dir=tmp_path)
+        assert result.compilations == 1
+        assert result.cache_stats.hits == 0
+        raw = path.read_bytes()
+        assert raw[len(ENTRY_MAGIC)] == CACHE_FORMAT_VERSION == 4
+        assert run_batch([job], cache_dir=tmp_path).compilations == 0
 
 
 class TestErrors:
@@ -224,10 +263,142 @@ class TestErrors:
 
     def test_truncated_document(self):
         blob = schedule_to_bytes(every_kind_schedule())
-        for cut in (5, len(blob) // 2, len(blob) - 1):
+        for cut in range(len(blob)):
             with pytest.raises(ReproError):
                 schedule_from_bytes(blob[:cut])
 
     def test_empty_input(self):
         with pytest.raises(ReproError):
             schedule_from_bytes(b"")
+
+    def test_trailing_byte(self):
+        blob = schedule_to_bytes(every_kind_schedule())
+        with pytest.raises(ReproError, match="trailing"):
+            schedule_from_bytes(blob + b"\x00")
+
+    def test_unknown_kind_code(self):
+        schedule = schedule_from_bytes(schedule_to_bytes(every_kind_schedule()))
+        schedule.slab.kinds[2] = 9
+        with pytest.raises(ReproError, match="kind code"):
+            schedule_from_bytes(schedule_to_bytes(schedule))
+
+    @pytest.mark.parametrize("bad_id", [-1, 3])
+    def test_out_of_range_name_id(self, bad_id):
+        blob = tampered_operands(name_ids=[0, bad_id, 2])
+        with pytest.raises(ReproError, match="unknown gate name"):
+            schedule_from_bytes(blob)
+
+    @pytest.mark.parametrize("column", ["qubit_counts", "param_counts"])
+    def test_negative_operand_count(self, column):
+        blob = tampered_operands(**{column: [-1, 2, 1]})
+        with pytest.raises(ReproError, match="negative operand count"):
+            schedule_from_bytes(blob)
+
+    def test_negative_qubit_index(self):
+        blob = tampered_operands(qubits=[0, 0, -1, 5])
+        with pytest.raises(ReproError, match="negative qubit index"):
+            schedule_from_bytes(blob)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"qubit_counts": [1, 3, 1]},  # one qubit more than the qubit column holds
+            {"qubit_counts": [1, 1, 1]},  # one qubit fewer
+            {"param_counts": [2, 0, 0]},  # one parameter more than the column holds
+            {"param_counts": [0, 0, 0]},  # one parameter fewer
+        ],
+    )
+    def test_count_sum_disagrees_with_its_column(self, counts):
+        with pytest.raises(ReproError):
+            schedule_from_bytes(tampered_operands(**counts))
+
+
+def tampered_operands(**columns: "list[int]") -> bytes:
+    """The every-kind blob with some gate operand columns replaced.
+
+    A decoded slab writes its operand columns back verbatim, so swapping
+    a column on the decoded copy yields exactly the corrupt document to
+    test.  The schedule's three gates are ``rz(0.25) 0``, ``cx 0, 1`` and
+    ``h 5``, so every column has three entries.
+    """
+    schedule = schedule_from_bytes(schedule_to_bytes(every_kind_schedule()))
+    slab = schedule.slab
+    replaced = {name: array("i", values) for name, values in columns.items()}
+    slab.gate_operands = slab.gate_operands._replace(**replaced)
+    return schedule_to_bytes(schedule)
+
+
+class TestLazyGates:
+    """A decoded slab builds gates only when its ``gates`` are read."""
+
+    @pytest.fixture()
+    def compiled(self) -> Schedule:
+        return SSyncCompiler(grid_device(2, 2, 6)).compile(qft_circuit(12)).schedule
+
+    def test_evaluate_and_re_encode_build_no_gate(self, compiled, monkeypatch):
+        blob = schedule_to_bytes(compiled)
+        decoded = schedule_from_bytes(blob)
+
+        def no_gates(self):
+            raise AssertionError("a Gate list was built")
+
+        monkeypatch.setattr(GateOperands, "build", no_gates)
+        evaluation = ScheduleEvaluator().evaluate(decoded)
+        assert schedule_to_bytes(decoded) == blob
+        monkeypatch.undo()
+        assert repr(evaluation) == repr(ScheduleEvaluator()._evaluate_records(compiled))
+
+    def test_gates_are_built_once_and_equal_the_originals(self, compiled):
+        decoded = schedule_from_bytes(schedule_to_bytes(compiled)).slab
+        gates = decoded.gates
+        assert decoded.gates is gates
+        assert decoded.gate_operands is None
+        originals = compiled.slab.gates
+        assert gates == originals
+        assert [(g.is_single_qubit, g.is_two_qubit) for g in gates] == [
+            (g.is_single_qubit, g.is_two_qubit) for g in originals
+        ]
+
+    def test_concurrent_first_reads(self):
+        """Threads racing on the first read all get the gates, none an error.
+
+        A small schedule keeps each build short, so the racing threads
+        often meet between one thread storing the list and dropping the
+        columns.
+        """
+        blob = schedule_to_bytes(every_kind_schedule())
+        expected = every_kind_schedule().to_slab().gates
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3000):
+                slab = schedule_from_bytes(blob).slab
+                start = threading.Barrier(4)
+                results: list = []
+                errors: list[BaseException] = []
+
+                def read() -> None:
+                    start.wait(10.0)
+                    try:
+                        results.append(slab.gates)
+                    except BaseException as exc:  # noqa: BLE001 - the regression signal
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors
+                assert results == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_append_gate_on_a_decoded_slab(self, compiled):
+        decoded = schedule_from_bytes(schedule_to_bytes(compiled))
+        extra = Gate("cz", (0, 1))
+        decoded.slab.append_gate(KIND_CODE_GATE_2Q, extra, 0, 2, 0)
+        compiled.slab.append_gate(KIND_CODE_GATE_2Q, extra, 0, 2, 0)
+        assert decoded.slab.gates[-1] is extra
+        assert schedule_to_bytes(decoded) == schedule_to_bytes(compiled)

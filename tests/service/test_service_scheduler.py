@@ -10,6 +10,7 @@ tests use the real engine against a disk cache directory.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from pathlib import Path
@@ -460,31 +461,45 @@ class TestJobStoreSnapshots:
 
     def test_iteration_survives_concurrent_puts(self):
         store = JobStore()
-        stop = threading.Event()
+        passes, keys_per_pass = 300, 8  # bounds the table at 2400 jobs
+        pass_started = threading.Semaphore(0)
         errors: list[BaseException] = []
 
         def writer():
-            i = 0
-            while not stop.is_set():
+            # A few new keys per reader pass, put while that pass
+            # snapshots and sorts the table.
+            for i in range(passes * keys_per_pass):
+                if i % keys_per_pass == 0 and not pass_started.acquire(timeout=WAIT):
+                    return
                 store.put(ServiceJob(f"{i:016x}", []))
-                i += 1
 
         def reader():
             try:
-                for _ in range(300):
+                for _ in range(passes):
+                    pass_started.release()
                     store.all()
                     store.counts()
             except BaseException as exc:  # noqa: BLE001 - the regression signal
                 errors.append(exc)
+            finally:
+                pass_started.release(passes)  # never leave the writer waiting
 
         writer_thread = threading.Thread(target=writer, daemon=True)
         reader_thread = threading.Thread(target=reader)
-        writer_thread.start()
-        reader_thread.start()
-        reader_thread.join(WAIT)
-        stop.set()
-        writer_thread.join(WAIT)
+        # Switch threads often, so the puts land inside the reader's passes.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writer_thread.start()
+            reader_thread.start()
+            reader_thread.join(WAIT)
+            writer_thread.join(WAIT)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader_thread.is_alive()
+        assert not writer_thread.is_alive()
         assert not errors
+        assert len(store) == passes * keys_per_pass
 
 
 class TestCancelOverHTTP:

@@ -174,7 +174,7 @@ class TestResultSerialization:
 
     def test_cache_entry_round_trips_statistics(self, result):
         entry = CachedCompilation.from_result(result)
-        rebuilt = CachedCompilation.from_dict(json.loads(json.dumps(entry.to_dict())))
+        rebuilt = CachedCompilation.from_bytes(entry.to_bytes())
         assert rebuilt.statistics == result.statistics_dict()
         assert [t["name"] for t in rebuilt.pass_timings] == [
             "initial-mapping",
