@@ -63,6 +63,7 @@ cache entries at least 2x smaller than their JSON form.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import sys
@@ -339,14 +340,25 @@ def compute_backend_speedups(backend_points: list[dict[str, Any]]) -> list[dict[
     return speedups
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Minimum wall time of ``repeats`` calls to ``fn``."""
-    best = float("inf")
-    for _ in range(repeats):
+def _timed(fn) -> float:
+    """Wall time of one call to ``fn`` with the garbage collector paused.
+
+    A full collection runs first, so no sample pays for garbage an earlier
+    one left, and none is interrupted by a collection it did not cause.
+    """
+    gc.collect()
+    gc.disable()
+    try:
         started = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+        return time.perf_counter() - started
+    finally:
+        gc.enable()
+
+
+def _best_of(fn, repeats: int) -> float:
+    """Minimum wall time of ``repeats`` calls to ``fn`` (see :func:`_timed`)."""
+    return min(_timed(fn) for _ in range(repeats))
 
 
 def _time_disk_hit(entry: CachedCompilation, repeats: int) -> float:
@@ -362,10 +374,7 @@ def _time_disk_hit(entry: CachedCompilation, repeats: int) -> float:
         ScheduleCache(directory=tmp).put("fp", entry)
         for _ in range(repeats):
             cache = ScheduleCache(directory=tmp)
-            started = time.perf_counter()
-            loaded = cache.get("fp")
-            list(loaded.schedule())
-            best = min(best, time.perf_counter() - started)
+            best = min(best, _timed(lambda: list(cache.get("fp").schedule())))
     return best
 
 

@@ -26,9 +26,11 @@ class QuantumCircuit:
         self._num_qubits = int(num_qubits)
         self._gates: list[Gate] = []
         self.name = name
-        # Memoised dependency structure (owned by repro.circuit.dag);
-        # invalidated whenever a gate is appended.
+        # Memoised dependency structure (owned by repro.circuit.dag) and
+        # content digest (owned by repro.runtime.jobs); both invalidated
+        # whenever a gate is appended.
         self._dag_template = None
+        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
     # basic container protocol
@@ -74,6 +76,7 @@ class QuantumCircuit:
             )
         self._gates.append(gate)
         self._dag_template = None
+        self._fingerprint = None
         return self
 
     def add_gate(self, name: str, *qubits: int, params: Iterable[float] = ()) -> "QuantumCircuit":

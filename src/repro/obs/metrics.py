@@ -37,7 +37,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import ReproError
 
@@ -502,22 +502,35 @@ class MetricsRegistry:
 
     def render(self) -> str:
         """The full Prometheus text-format exposition (version 0.0.4)."""
-        lines: list[str] = []
-        for family in self.collect():
-            lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for sample in family.samples():
-                if sample.labels:
-                    rendered = ",".join(
-                        f'{label}="{_escape_label_value(value)}"'
-                        for label, value in sample.labels
-                    )
-                    lines.append(
-                        f"{sample.name}{{{rendered}}} {format_value(sample.value)}"
-                    )
-                else:
-                    lines.append(f"{sample.name} {format_value(sample.value)}")
-        return "\n".join(lines) + "\n"
+        return render_families(
+            (family.name, family.kind, family.help, family.samples())
+            for family in self.collect()
+        )
+
+
+def render_families(
+    families: "Iterable[tuple[str, str, str, Iterable[Sample]]]",
+) -> str:
+    """Prometheus text format (version 0.0.4) of ``(name, kind, help,
+    samples)`` families; the empty string when there are none.
+
+    :meth:`MetricsRegistry.render` renders its own families with it, and
+    the fleet router the families it merged from its workers' expositions.
+    """
+    lines: list[str] = []
+    for name, kind, help_text, samples in families:
+        lines.append(f"# HELP {name} {_escape_help(help_text)}")
+        lines.append(f"# TYPE {name} {kind}")
+        for sample in samples:
+            if sample.labels:
+                rendered = ",".join(
+                    f'{label}="{_escape_label_value(value)}"'
+                    for label, value in sample.labels
+                )
+                lines.append(f"{sample.name}{{{rendered}}} {format_value(sample.value)}")
+            else:
+                lines.append(f"{sample.name} {format_value(sample.value)}")
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 @dataclass

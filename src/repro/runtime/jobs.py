@@ -54,15 +54,23 @@ def _digest(payload: Any) -> str:
 
 
 def circuit_fingerprint(circuit: QuantumCircuit) -> str:
-    """Content fingerprint of a circuit: qubit count plus the gate list."""
-    return _digest(
-        {
-            "num_qubits": circuit.num_qubits,
-            "gates": [
-                [gate.name, list(gate.qubits), list(gate.params)] for gate in circuit
-            ],
-        }
-    )
+    """Content fingerprint of a circuit: qubit count plus the gate list.
+
+    The digest is kept on the circuit (``circuit._fingerprint``, cleared
+    by :meth:`QuantumCircuit.append`), so many jobs over one circuit
+    object hash its gates once.
+    """
+    cached = getattr(circuit, "_fingerprint", None)
+    if cached is None:
+        cached = circuit._fingerprint = _digest(
+            {
+                "num_qubits": circuit.num_qubits,
+                "gates": [
+                    [gate.name, list(gate.qubits), list(gate.params)] for gate in circuit
+                ],
+            }
+        )
+    return cached
 
 
 def device_fingerprint(device: QCCDDevice) -> str:
@@ -75,21 +83,36 @@ def config_fingerprint(config: SSyncConfig | None) -> str:
     return _digest(asdict(config or SSyncConfig()))
 
 
+@functools.lru_cache(maxsize=8)
+def _named_circuit(name: str) -> QuantumCircuit:
+    """The library circuit ``name``, built once per process.
+
+    Callers never receive this object: :meth:`CompileJob.resolve_circuit`
+    hands out copies and :func:`_named_fingerprint` only hashes it.  The
+    body looks ``build_benchmark`` up at call time, so a wrapper installed
+    on the module later sees every build, and a name that fails to build
+    raises on every call (``lru_cache`` keeps no exceptions).  Eight
+    entries hold every table the sweeps use (6, 6 and 7 circuits) and
+    bound what the process keeps.
+    """
+    return build_benchmark(name)
+
+
 @functools.lru_cache(maxsize=256, typed=True)
 def _named_fingerprint(kind: str, name: str, capacity: int | None = None) -> str:
     """Content fingerprint of a library circuit or a paper device, by name.
 
     A Table-2 circuit is a pure function of its name, and a paper device
     of its name and capacity, so the content fingerprint can be keyed by
-    them: each distinct name is built once per process, however many
-    jobs name it.  Only the fingerprint strings are kept — never the
-    (mutable) circuit or device — and the memo is bounded.  ``typed``
-    keeps ``capacity=True`` apart from ``capacity=1`` (they build
-    different devices), and a name that fails to build raises every
-    time, exactly as building it directly does.
+    them.  A circuit is hashed from the one :func:`_named_circuit` keeps
+    (callers only ever get copies of it); a device is built, hashed and
+    dropped, so only its fingerprint string is kept.  Both memos are
+    bounded.  ``typed`` keeps ``capacity=True`` apart from ``capacity=1``
+    (they build different devices), and a name that fails to build raises
+    every time, exactly as building it directly does.
     """
     if kind == "circuit":
-        return circuit_fingerprint(build_benchmark(name))
+        return circuit_fingerprint(_named_circuit(name))
     return device_fingerprint(paper_device(name, capacity))
 
 
@@ -123,10 +146,15 @@ class CompileJob:
     # resolution
     # ------------------------------------------------------------------
     def resolve_circuit(self) -> QuantumCircuit:
-        """Materialise the circuit (building a named benchmark if needed)."""
+        """Materialise the circuit.
+
+        A named benchmark is built once per process (:func:`_named_circuit`)
+        and every call returns a fresh copy over the same immutable gates,
+        so the caller owns what it gets.
+        """
         if isinstance(self.circuit, QuantumCircuit):
             return self.circuit
-        return build_benchmark(self.circuit)
+        return _named_circuit(self.circuit).copy()
 
     def resolve_device(self) -> QCCDDevice:
         """Materialise the device (building a named preset if needed)."""
@@ -166,8 +194,9 @@ class CompileJob:
 
         Named circuits and devices enter through their name-keyed content
         fingerprints (:func:`_named_fingerprint`), so building the key
-        costs no circuit build once a name has been seen.  Concrete
-        objects are fingerprinted from their content on every call.
+        costs no circuit build once a name has been seen.  A concrete
+        circuit keeps its digest until a gate is appended; a concrete
+        device is fingerprinted from its content on every call.
         """
         spec = compiler_spec(self.compiler)
         key: dict[str, Any] = {

@@ -62,8 +62,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     ParsedMetric,
     Sample,
-    format_value,
     parse_exposition,
+    render_families,
 )
 from repro.runtime.cache import CachedCompilation, ScheduleCache
 from repro.runtime.manifest import jobs_from_manifest, manifest_document_from_text
@@ -582,8 +582,8 @@ class FleetRouter:
         ``repro_service_info`` sums to the number of alive workers on
         that version — a liveness signal in its own right).
         """
-        merged: "dict[str, ParsedMetric]" = {}
-        order: "dict[str, dict[tuple, Sample]]" = {}
+        # name -> (the first worker's family, for kind and help; samples)
+        merged: "dict[str, tuple[ParsedMetric, dict[tuple, Sample]]]" = {}
         for worker in self.workers:
             if not worker.alive:
                 continue
@@ -592,28 +592,17 @@ class FleetRouter:
             except ServiceError:
                 continue
             for name, family in parse_exposition(text).items():
-                target = merged.get(name)
-                if target is None:
-                    target = ParsedMetric(name, family.kind, family.help)
-                    merged[name] = target
-                    order[name] = {}
-                index = order[name]
+                _, index = merged.setdefault(name, (family, {}))
                 for sample in family.samples:
                     key = (sample.name, sample.labels)
                     seen = index.get(key)
-                    if seen is None:
-                        index[key] = sample
-                    else:
-                        index[key] = Sample(
-                            sample.name, sample.labels, seen.value + sample.value
-                        )
-        lines: list[str] = []
-        for name, family in merged.items():
-            lines.append(f"# HELP {name} {_escape(family.help)}")
-            lines.append(f"# TYPE {name} {family.kind}")
-            for sample in order[name].values():
-                lines.append(_render_sample(sample))
-        worker_text = "\n".join(lines) + "\n" if lines else ""
+                    index[key] = sample if seen is None else Sample(
+                        sample.name, sample.labels, seen.value + sample.value
+                    )
+        worker_text = render_families(
+            (name, family.kind, family.help, index.values())
+            for name, (family, index) in merged.items()
+        )
         return worker_text + self.registry.render()
 
     def _collect(self) -> list:
@@ -648,23 +637,6 @@ class FleetRouter:
             return False
         self.cache.put(fingerprint, entry, propagate=False)
         return True
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _render_sample(sample: Sample) -> str:
-    if sample.labels:
-        rendered = ",".join(
-            '{}="{}"'.format(
-                label,
-                value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n"),
-            )
-            for label, value in sample.labels
-        )
-        return f"{sample.name}{{{rendered}}} {format_value(sample.value)}"
-    return f"{sample.name} {format_value(sample.value)}"
 
 
 class FleetRequestHandler(ServiceRequestHandler):

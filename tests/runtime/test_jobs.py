@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import multiprocessing
+import sys
+import threading
 
 import pytest
 
 from repro.circuit.library import build_benchmark, qft_circuit
 from repro.core.compiler import SSyncConfig
-from repro.exceptions import ReproError
+from repro.exceptions import CircuitError, ReproError
 from repro.hardware.presets import paper_device
 from repro.runtime import jobs as jobs_module
 from repro.runtime.jobs import (
@@ -107,6 +109,7 @@ class TestFingerprints:
             return build_benchmark(name)
 
         monkeypatch.setattr(jobs_module, "build_benchmark", counting_build)
+        jobs_module._named_circuit.cache_clear()
         jobs_module._named_fingerprint.cache_clear()
         jobs = [
             CompileJob(circuit="qft_11", device="G-2x2", label=str(index))
@@ -114,10 +117,37 @@ class TestFingerprints:
         ]
         fingerprints = {(job.compile_fingerprint(), job.fingerprint()) for job in jobs}
         assert len(fingerprints) == 1
+        # Fingerprints and compiles share the one build.
+        for job in jobs[:3]:
+            compile_job(job)
         assert builds == ["qft_11"]
         # The memo keys on content-free names but yields content digests.
         concrete = CompileJob(circuit=build_benchmark("qft_11"), device="G-2x2")
         assert fingerprints == {(concrete.compile_fingerprint(), concrete.fingerprint())}
+
+    def test_concrete_circuit_is_hashed_once_for_many_jobs(self, monkeypatch):
+        payloads = []
+        digest = jobs_module._digest
+
+        def counting_digest(payload):
+            payloads.append(payload)
+            return digest(payload)
+
+        monkeypatch.setattr(jobs_module, "_digest", counting_digest)
+        circuit = qft_circuit(9)
+        for index in range(50):
+            job = CompileJob(circuit=circuit, device="G-2x2", label=str(index))
+            job.compile_fingerprint()
+            job.fingerprint()
+        assert sum(1 for payload in payloads if "gates" in payload) == 1
+
+    def test_appending_a_gate_changes_the_digest(self):
+        circuit = qft_circuit(6)
+        before = CompileJob(circuit=circuit, device="G-2x2").compile_fingerprint()
+        circuit.h(0)
+        after = CompileJob(circuit=circuit, device="G-2x2").compile_fingerprint()
+        assert after != before
+        assert circuit_fingerprint(circuit) == circuit_fingerprint(qft_circuit(6).h(0))
 
     def test_named_device_memo_tells_capacity_types_apart(self):
         assert CompileJob(circuit="qft_4", device="G-2x2", capacity=True).compile_fingerprint() != (
@@ -130,6 +160,74 @@ class TestFingerprints:
         job.compile_fingerprint()
         memoised = {name for name in vars(job) if name.startswith("_")}
         assert memoised == {"_fingerprint", "_compile_fingerprint"}
+
+
+class TestNamedCircuitMemo:
+    def test_resolved_circuits_are_private_copies(self):
+        job = CompileJob(circuit="qft_6", device="G-2x2")
+        first, second = job.resolve_circuit(), job.resolve_circuit()
+        assert first == second
+        assert first is not second
+        first.h(0)
+        fresh = build_benchmark("qft_6")
+        assert second == fresh
+        assert job.resolve_circuit() == fresh
+        concrete = CompileJob(circuit=fresh, device="G-2x2")
+        assert (job.compile_fingerprint(), job.fingerprint()) == (
+            concrete.compile_fingerprint(),
+            concrete.fingerprint(),
+        )
+
+    def test_bad_name_raises_every_time_and_is_not_kept(self):
+        size = jobs_module._named_circuit.cache_info().currsize
+        for _ in range(2):
+            job = CompileJob(circuit="nope_3", device="G-2x2")
+            with pytest.raises(CircuitError):
+                job.resolve_circuit()
+            with pytest.raises(CircuitError):
+                job.compile_fingerprint()
+        assert jobs_module._named_circuit.cache_info().currsize == size
+
+    def test_memo_is_bounded(self):
+        jobs_module._named_circuit.cache_clear()
+        for size in range(4, 13):
+            CompileJob(circuit=f"qft_{size}", device="G-2x2").resolve_circuit()
+        assert jobs_module._named_circuit.cache_info().currsize == 8
+
+    def test_concurrent_resolves_get_private_copies(self):
+        names = ("qft_5", "bv_6", "alt_7")
+        expected = {name: build_benchmark(name) for name in names}
+        jobs_module._named_circuit.cache_clear()
+        results: list[list] = [[] for _ in range(8)]
+        errors: list[BaseException] = []
+
+        def resolve_all(out):
+            try:
+                for _ in range(20):
+                    for name in names:
+                        job = CompileJob(circuit=name, device="G-2x2")
+                        out.append((name, job.resolve_circuit()))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=resolve_all, args=(out,), daemon=True) for out in results
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        resolved = [item for out in results for item in out]
+        assert len(resolved) == 8 * 20 * len(names)
+        assert all(circuit == expected[name] for name, circuit in resolved)
+        assert len({id(circuit._gates) for _, circuit in resolved}) == len(resolved)
 
 
 class TestJobResolution:

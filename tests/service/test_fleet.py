@@ -23,7 +23,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs import parse_exposition
+from repro.obs import MetricsRegistry, parse_exposition
 from repro.service import ServiceClient
 from repro.service.fleet import FleetRouter, make_fleet
 
@@ -152,6 +152,44 @@ class TestRoutingAndAggregation:
         with pytest.raises(ServiceError) as excinfo:
             client.submit(b"{not json")
         assert excinfo.value.status == 400
+
+
+class _LiveProcess:
+    pid = None
+
+    def is_alive(self) -> bool:
+        return True
+
+
+class _MetricsOnlyClient:
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def metrics(self) -> str:
+        return self.text
+
+
+def _odd_registry(value: int) -> MetricsRegistry:
+    registry = MetricsRegistry()
+    counter = registry.counter(
+        "repro_odd_total", 'Escapes: a \\ backslash\nand a newline.', ("path",)
+    )
+    counter.labels(path='C:\\say "hi"').inc(value)
+    return registry
+
+
+class TestMetricsMerge:
+    def test_escaped_help_and_labels_survive_the_merge(self):
+        router = FleetRouter(size=2)  # never started: no worker processes
+        for worker, value in zip(router.workers, (1, 2)):
+            worker.process = _LiveProcess()
+            worker.client = _MetricsOnlyClient(_odd_registry(value).render())
+        text = router.metrics_text()
+        # Rendered exactly as one registry renders the summed family.
+        assert text.startswith(_odd_registry(3).render())
+        family = parse_exposition(text)["repro_odd_total"]
+        assert family.help == 'Escapes: a \\ backslash\nand a newline.'
+        assert family.value(path='C:\\say "hi"') == 3
 
 
 class TestFailover:
