@@ -2,39 +2,48 @@
 
 Compile time is a first-class result of the paper (Fig. 15), so its
 trajectory is tracked machine-readably from PR 3 onward.  The harness
-measures two suites and writes
+measures three groups of points and writes
 ``benchmarks/results/BENCH_compile_time.json``:
 
 * the **scaled suite** — every (compiler, circuit, size) point on the
   Fig. 15 device (G-2x2, trap capacity 20): the stock ``s-sync``
-  compiler (flat scheduler core), the ``s-sync-incremental`` and
-  ``s-sync-naive`` cores it is parity-locked to, and the ``murali``
-  baseline;
+  compiler (flat scheduler core), the ``s-sync-naive`` reference core
+  it is parity-locked to, and the ``murali`` baseline;
 * the **backend shoot-out** — 64/96/128-qubit points on routing-bound
   devices (many traps, tight capacity: the regime where candidate
-  scoring dominates compile time), comparing the flat core against the
-  incremental core on the exact same workload.
+  scoring dominates compile time), measuring the flat core;
+* the **gate point** — ``alt_40`` on G-3x3 at capacity 8, where the flat
+  core and the naive reference both route the same workload (the naive
+  core needs minutes at the 64-qubit shoot-out sizes).
 
 Repeats are *interleaved* across compilers within each point — every
-compiler sees the same slice of machine noise, so the flat-versus-
-incremental ratios are stable enough to gate on (process-to-process
-variance alone is ~20%).  Per point the harness also records the delta
-of the ``repro_engine_compile_seconds_total`` counter (the same
-instrument the batch engine exposes on ``/v1/metrics``), tying the
-benchmark numbers to the service's observability vocabulary.
+compiler sees the same slice of machine noise, so the flat-versus-naive
+ratio is stable enough to gate on (process-to-process variance alone is
+~20%).  Per point the harness also records the delta of the
+``repro_engine_compile_seconds_total`` counter (the same instrument the
+batch engine exposes on ``/v1/metrics``), tying the benchmark numbers
+to the service's observability vocabulary.
 
 The committed JSON carries:
 
 * ``points`` / ``backend_points`` — the current measurements
   (best-of-N total seconds plus the routing-pass seconds);
-* ``baseline.points`` — the same measurements taken on the
-  *pre-incremental-core* tree (recorded once with ``--save-baseline``);
+  ``backend_points`` holds the shoot-out and gate-point rows;
+* ``baseline.points`` — the scaled suite measured on the scheduler
+  before its rewrite to candidate-delta scoring (recorded once with
+  ``--save-baseline``);
 * ``speedups`` — current versus baseline per scaled point;
-* ``backend_speedups`` — flat versus incremental per shoot-out point;
+* ``backend_speedups`` — naive versus flat routing wherever a
+  ``backend_points`` row has both cores;
 * ``serialization`` — the artifact-path section: encode/decode times
   and sizes of the binary schedule codec versus the JSON document form
-  at the gate point, plus measured disk-hit latency of a binary v4
-  entry through a real ``ScheduleCache``.
+  for ``alt_64`` on G-3x3, plus measured disk-hit latency of a binary
+  v4 entry through a real ``ScheduleCache``.
+
+A run rewrites only the sections it measured: ``--gate-only`` merges
+its rows into ``backend_points`` (rows are keyed by compiler, circuit,
+size and device) and leaves ``points``, ``speedups``, ``baseline`` and
+``serialization`` exactly as they were.
 
 Usage::
 
@@ -50,14 +59,14 @@ Usage::
 
 ``--check`` re-measures the suite and exits non-zero when any point's
 routing seconds regressed more than ``--threshold`` (default 2x) over
-the committed numbers, when the incremental core falls behind the naive
-reference, or when the flat core loses its 2x routing margin over the
-incremental core at the designated 64-qubit gate point.  ``--gate-only``
-restricts the run to that single gate point — the CI smoke
-configuration.  ``--serialization-only`` restricts the run to the
-serialization section, whose own (machine-independent) gates require
-binary decode to stay at least 3x faster than JSON parsing and binary
-cache entries at least 2x smaller than their JSON form.
+the committed numbers, when the flat core falls behind the naive
+reference, or when the flat core loses its 6x routing margin over the
+naive reference at the gate point.  ``--gate-only`` restricts the run
+to that single gate point — the CI smoke configuration.
+``--serialization-only`` restricts the run to the serialization
+section, whose own (machine-independent) gates require binary decode
+to stay at least 3x faster than JSON parsing and binary cache entries
+at least 2x smaller than their JSON form.
 """
 
 from __future__ import annotations
@@ -74,6 +83,7 @@ from typing import Any
 
 from repro.circuit.library import build_family
 from repro.core.compiler import SSyncCompiler, SSyncConfig
+from repro.core.scheduler import SchedulerConfig
 from repro.hardware.presets import paper_device
 from repro.obs import MetricsRegistry
 from repro.registry import make_pipeline
@@ -106,14 +116,26 @@ BACKEND_DEVICES: dict[int, tuple[str, int]] = {
 }
 BACKEND_FAMILIES = ("qft", "alt")
 
+#: The S-SYNC compilers the harness measures, by scheduler core.
+SSYNC_BACKENDS = {"s-sync": "flat", "s-sync-naive": "naive"}
+
 #: The CI-gated point: flat routing must stay at least this many times
-#: faster than incremental on this circuit/size (measured 2.1-2.5x).
+#: faster than the naive reference on this workload, both measured in
+#: the same run (10.2-13.2x over nine runs on a 2-core host, Python
+#: 3.11.7).
 GATE_CIRCUIT = "alt"
-GATE_SIZE = 64
-GATE_RATIO = 2.0
+GATE_SIZE = 40
+GATE_DEVICE = ("G-3x3", 8)
+GATE_RATIO = 6.0
+
+#: The serialization section's workload: the largest shoot-out schedule
+#: on G-3x3, independent of the gate point.
+SERIALIZATION_CIRCUIT = "alt"
+SERIALIZATION_SIZE = 64
+SERIALIZATION_DEVICE = ("G-3x3", 8)
 
 #: Serialization gates (machine-independent ratios, measured in one run
-#: at the ``alt_64`` gate point): binary decode must stay at least 3x
+#: on the ``alt_64`` schedule): binary decode must stay at least 3x
 #: faster than parsing the JSON document form (measured ~4.7x), and a
 #: binary cache entry at least 2x smaller than its JSON form (~4.8x).
 DECODE_SPEEDUP_GATE = 3.0
@@ -130,49 +152,20 @@ _COMPILE_SECONDS = _METRICS.counter(
 )
 
 
-def _ssync_config(backend: str | None) -> SSyncConfig | None:
-    """An ``SSyncConfig`` pinning one scheduler core, or ``None``.
-
-    Returns ``None`` on trees that predate the requested knob, so the
-    pre-change baseline can be recorded by the very same harness code:
-    without a ``backend`` field the harness simply measures the stock
-    compiler, and without the legacy ``incremental`` flag it skips the
-    naive point.
-    """
-    from dataclasses import fields, replace
-
-    from repro.core.scheduler import SchedulerConfig
-
-    config = SSyncConfig()
-    field_names = {f.name for f in fields(SchedulerConfig)}
-    if backend is None:
-        return config
-    if "backend" in field_names:
-        return replace(config, scheduler=replace(config.scheduler, backend=backend))
-    if backend == "naive" and "incremental" in field_names:
-        return replace(config, scheduler=replace(config.scheduler, incremental=False))
-    if backend == "incremental" and "incremental" in field_names:
-        return replace(config, scheduler=replace(config.scheduler, incremental=True))
-    return None
+def _ssync_compilers(device, names) -> dict[str, Any]:
+    """Name -> ``compile(circuit)`` for the named :data:`SSYNC_BACKENDS` cores."""
+    return {
+        name: SSyncCompiler(
+            device, SSyncConfig(scheduler=SchedulerConfig(backend=SSYNC_BACKENDS[name]))
+        ).compile
+        for name in names
+    }
 
 
 def _scaled_compilers(device) -> dict[str, Any]:
     """Name -> ``compile(circuit) -> CompilationResult`` for the scaled suite."""
-    compilers: dict[str, Any] = {"s-sync": SSyncCompiler(device).compile}
-    for name, backend in (("s-sync-incremental", "incremental"), ("s-sync-naive", "naive")):
-        config = _ssync_config(backend)
-        if config is not None:
-            compilers[name] = SSyncCompiler(device, config).compile
+    compilers = _ssync_compilers(device, SSYNC_BACKENDS)
     compilers["murali"] = lambda circuit: make_pipeline("murali", device).compile(circuit)
-    return compilers
-
-
-def _backend_compilers(device) -> dict[str, Any]:
-    """The flat-versus-incremental pair for the backend shoot-out."""
-    compilers: dict[str, Any] = {"s-sync": SSyncCompiler(device).compile}
-    config = _ssync_config("incremental")
-    if config is not None:
-        compilers["s-sync-incremental"] = SSyncCompiler(device, config).compile
     return compilers
 
 
@@ -255,25 +248,36 @@ def measure_points(repeats: int = 5, full: bool = False) -> list[dict[str, Any]]
     return points
 
 
-def measure_backend_points(repeats: int = 3, gate_only: bool = False) -> list[dict[str, Any]]:
-    """The 64/96/128-qubit flat-versus-incremental shoot-out points."""
+def _measure_device_point(
+    names, family: str, size: int, device_name: str, capacity: int, repeats: int
+) -> list[dict[str, Any]]:
+    """One S-SYNC point on a routing-bound device, one row per named core."""
+    compilers = _metered(_ssync_compilers(paper_device(device_name, capacity), names))
+    return _measure_point(
+        compilers,
+        build_family(family, size),
+        repeats,
+        {"circuit": family, "size": size, "device": device_name, "capacity": capacity},
+    )
+
+
+def measure_backend_points(repeats: int = 3) -> list[dict[str, Any]]:
+    """The 64/96/128-qubit shoot-out points, measured on the flat core."""
     points: list[dict[str, Any]] = []
     for size, (device_name, capacity) in BACKEND_DEVICES.items():
         for family in BACKEND_FAMILIES:
-            if gate_only and (family, size) != (GATE_CIRCUIT, GATE_SIZE):
-                continue
-            device = paper_device(device_name, capacity)
-            compilers = _metered(_backend_compilers(device))
-            circuit = build_family(family, size)
             points.extend(
-                _measure_point(
-                    compilers,
-                    circuit,
-                    repeats,
-                    {"circuit": family, "size": size, "device": device_name, "capacity": capacity},
-                )
+                _measure_device_point(("s-sync",), family, size, device_name, capacity, repeats)
             )
     return points
+
+
+def measure_gate_point(repeats: int = 3) -> list[dict[str, Any]]:
+    """The gate point: flat and naive, repeats interleaved across the two."""
+    device_name, capacity = GATE_DEVICE
+    return _measure_device_point(
+        SSYNC_BACKENDS, GATE_CIRCUIT, GATE_SIZE, device_name, capacity, repeats
+    )
 
 
 def _point_key(point: dict[str, Any]) -> tuple[str, str, int, str]:
@@ -314,18 +318,18 @@ def compute_speedups(
 
 
 def compute_backend_speedups(backend_points: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Flat-core routing speedup over the incremental core per point."""
+    """Flat-core routing speedup over the naive reference per point with both."""
     fresh = {_point_key(p): p for p in backend_points}
     speedups: list[dict[str, Any]] = []
     for point in backend_points:
         if point["compiler"] != "s-sync":
             continue
         key = _point_key(point)
-        incremental = fresh.get(("s-sync-incremental",) + key[1:])
-        if incremental is None:
+        naive = fresh.get(("s-sync-naive",) + key[1:])
+        if naive is None:
             continue
         flat_s = float(point["routing_seconds"])
-        incremental_s = float(incremental["routing_seconds"])
+        naive_s = float(naive["routing_seconds"])
         speedups.append(
             {
                 "circuit": point["circuit"],
@@ -333,8 +337,8 @@ def compute_backend_speedups(backend_points: list[dict[str, Any]]) -> list[dict[
                 "device": point["device"],
                 "capacity": point["capacity"],
                 "flat_routing_seconds": flat_s,
-                "incremental_routing_seconds": incremental_s,
-                "speedup_routing": round(incremental_s / max(flat_s, 1e-9), 2),
+                "naive_routing_seconds": naive_s,
+                "speedup_routing": round(naive_s / max(flat_s, 1e-9), 2),
             }
         )
     return speedups
@@ -381,14 +385,16 @@ def _time_disk_hit(entry: CachedCompilation, repeats: int) -> float:
 def measure_serialization(repeats: int = 5) -> dict[str, Any]:
     """The artifact-path section: codec times, sizes, disk-hit latency.
 
-    One compilation of the gate-point workload, then best-of-N timings
-    of the four (codec, direction) pairs on its schedule.  Decode
-    timings include full operation materialisation so the binary path
-    cannot win by laziness alone.
+    One compilation of the serialization workload, then best-of-N
+    timings of the four (codec, direction) pairs on its schedule.
+    Decode timings include full operation materialisation so the binary
+    path cannot win by laziness alone.
     """
-    device_name, capacity = BACKEND_DEVICES[GATE_SIZE]
+    device_name, capacity = SERIALIZATION_DEVICE
     device = paper_device(device_name, capacity)
-    result = SSyncCompiler(device).compile(build_family(GATE_CIRCUIT, GATE_SIZE))
+    result = SSyncCompiler(device).compile(
+        build_family(SERIALIZATION_CIRCUIT, SERIALIZATION_SIZE)
+    )
     schedule = result.schedule
     json_text = json.dumps(schedule_to_dict(schedule), sort_keys=True)
     blob = schedule_to_bytes(schedule)
@@ -407,8 +413,8 @@ def measure_serialization(repeats: int = 5) -> dict[str, Any]:
     disk_hit_binary_s = _time_disk_hit(entry, repeats)
 
     section = {
-        "circuit": GATE_CIRCUIT,
-        "size": GATE_SIZE,
+        "circuit": SERIALIZATION_CIRCUIT,
+        "size": SERIALIZATION_SIZE,
         "device": device_name,
         "capacity": capacity,
         "operations": len(schedule),
@@ -426,7 +432,7 @@ def measure_serialization(repeats: int = 5) -> dict[str, Any]:
         "disk_hit_binary_seconds": round(disk_hit_binary_s, 6),
     }
     print(
-        f"{'serialization':>20}  {GATE_CIRCUIT}_{GATE_SIZE} on {device_name}  "
+        f"{'serialization':>20}  {SERIALIZATION_CIRCUIT}_{SERIALIZATION_SIZE} on {device_name}  "
         f"decode {section['decode_speedup']}x  "
         f"entry size {section['entry_size_ratio']}x  "
         f"disk hit {disk_hit_binary_s:.4f}s",
@@ -472,13 +478,13 @@ def check_regressions(
       ``threshold`` x the committed value (sub-millisecond points are
       skipped: they are noise-dominated);
     * relative (machine-independent) — on every circuit/size where both
-      were measured in *this* run, the incremental ``s-sync`` core must
-      not be meaningfully slower (>20%, beyond run-to-run noise) than
-      the ``s-sync-naive`` reference it replaces;
-    * backend (machine-independent) — at the designated 64-qubit gate
-      point, the flat core's routing must stay at least ``GATE_RATIO``
-      times faster than the incremental core measured in the same run
-      with interleaved repeats.
+      were measured in *this* run, the flat ``s-sync`` core must not be
+      meaningfully slower (>20%, beyond run-to-run noise) than the
+      ``s-sync-naive`` reference;
+    * backend (machine-independent) — at the gate point, the flat
+      core's routing must stay at least ``GATE_RATIO`` times faster
+      than the naive reference measured in the same run with
+      interleaved repeats.
     """
     fresh = {_point_key(p): p for p in points}
     failures: list[str] = []
@@ -503,25 +509,24 @@ def check_regressions(
         naive = fresh.get(("s-sync-naive",) + key[1:])
         if naive is None:
             continue
-        incremental_s = float(point["routing_seconds"])
+        flat_s = float(point["routing_seconds"])
         naive_s = float(naive["routing_seconds"])
-        if naive_s >= MIN_CHECKED_SECONDS and incremental_s > 1.2 * naive_s:
+        if naive_s >= MIN_CHECKED_SECONDS and flat_s > 1.2 * naive_s:
             failures.append(
                 f"s-sync {point['circuit']}_{point['size']}: routing "
-                f"{incremental_s:.4f}s slower than the naive reference {naive_s:.4f}s"
+                f"{flat_s:.4f}s slower than the naive reference {naive_s:.4f}s"
             )
-    gate_device = BACKEND_DEVICES[GATE_SIZE][0]
+    gate_device = GATE_DEVICE[0]
     flat = fresh.get(("s-sync", GATE_CIRCUIT, GATE_SIZE, gate_device))
-    incremental = fresh.get(("s-sync-incremental", GATE_CIRCUIT, GATE_SIZE, gate_device))
-    if flat is not None and incremental is not None:
+    naive = fresh.get(("s-sync-naive", GATE_CIRCUIT, GATE_SIZE, gate_device))
+    if flat is not None and naive is not None:
         flat_s = float(flat["routing_seconds"])
-        incremental_s = float(incremental["routing_seconds"])
-        if incremental_s < GATE_RATIO * flat_s:
+        naive_s = float(naive["routing_seconds"])
+        if naive_s < GATE_RATIO * flat_s:
             failures.append(
                 f"flat core lost its {GATE_RATIO:.0f}x margin at "
                 f"{GATE_CIRCUIT}_{GATE_SIZE} on {gate_device}: flat {flat_s:.4f}s vs "
-                f"incremental {incremental_s:.4f}s "
-                f"({incremental_s / max(flat_s, 1e-9):.2f}x)"
+                f"naive {naive_s:.4f}s ({naive_s / max(flat_s, 1e-9):.2f}x)"
             )
     return failures
 
@@ -534,12 +539,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--gate-only",
         action="store_true",
-        help="measure only the CI-gated 64-qubit backend point (smoke mode)",
+        help="measure only the CI-gated flat-versus-naive point (smoke mode)",
     )
     parser.add_argument(
         "--skip-backend",
         action="store_true",
-        help="skip the 64/96/128-qubit backend shoot-out points",
+        help="skip the backend points (the 64/96/128-qubit shoot-out and the gate point)",
     )
     parser.add_argument(
         "--serialization-only",
@@ -561,36 +566,35 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threshold", type=float, default=2.0)
     args = parser.parse_args(argv)
 
+    # ``None`` / empty marks a section this run did not measure.
+    points: list[dict[str, Any]] | None = None
+    backend_points: list[dict[str, Any]] = []
     serialization: dict[str, Any] | None = None
     if args.serialization_only:
-        points = []
-        backend_points = []
         serialization = measure_serialization(repeats=args.repeats)
     elif args.gate_only:
-        points = []
-        backend_points = measure_backend_points(repeats=args.repeats, gate_only=True)
+        backend_points = measure_gate_point(repeats=args.repeats)
     else:
         points = measure_points(repeats=args.repeats, full=args.full)
-        backend_points = (
-            []
-            if args.skip_backend
-            else measure_backend_points(repeats=max(3, args.repeats // 2 + 1))
-        )
-        serialization = measure_serialization(repeats=max(3, args.repeats // 2 + 1))
+        section_repeats = max(3, args.repeats // 2 + 1)
+        if not args.skip_backend:
+            backend_points = measure_backend_points(repeats=section_repeats)
+            backend_points += measure_gate_point(repeats=section_repeats)
+        serialization = measure_serialization(repeats=section_repeats)
 
     if args.check is not None:
         committed = json.loads(args.check.read_text())
-        failures = check_regressions(points + backend_points, committed, args.threshold)
+        failures = check_regressions((points or []) + backend_points, committed, args.threshold)
         if serialization is not None:
             failures.extend(check_serialization(serialization))
         # Write the measurements before deciding the exit code, so a red
         # CI run still uploads the numbers that triggered it.
-        if args.output != RESULTS_PATH:
+        if args.output.resolve() != RESULTS_PATH.resolve():
             args.output.parent.mkdir(parents=True, exist_ok=True)
             args.output.write_text(
                 json.dumps(
                     {
-                        "points": points,
+                        "points": points or [],
                         "backend_points": backend_points,
                         "serialization": serialization,
                     },
@@ -607,54 +611,49 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\nno point regressed more than {args.threshold:.1f}x; all good")
         return 0
 
-    existing: dict[str, Any] = {}
+    document: dict[str, Any] = {}
     if args.output.exists():
-        existing = json.loads(args.output.read_text())
-
-    if args.serialization_only:
-        # Merge the fresh section into the committed document in place.
-        existing["serialization"] = serialization
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
-        print(f"\nwrote {args.output} (serialization section only)")
-        return 0
-
-    document: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "device": DEVICE_NAME,
-        "capacity": CAPACITY,
-        "repeats": args.repeats,
-        "full_scale": args.full,
-        "python": platform.python_version(),
-        "points": points,
-        "backend_points": backend_points,
-        "baseline": existing.get("baseline", {}),
-        "speedups": [],
-        "backend_speedups": compute_backend_speedups(backend_points),
-        "serialization": serialization,
-    }
-    if args.save_baseline:
-        document["baseline"] = {
-            "note": "measured by this harness before the incremental scheduler core",
-            "points": points,
-        }
-    baseline_points = document["baseline"].get("points", [])
-    document["speedups"] = compute_speedups(points, baseline_points)
+        document = json.loads(args.output.read_text())
+    document["format_version"] = FORMAT_VERSION
+    if points is not None:
+        document.update(
+            device=DEVICE_NAME,
+            capacity=CAPACITY,
+            repeats=args.repeats,
+            full_scale=args.full,
+            python=platform.python_version(),
+            points=points,
+        )
+        if args.save_baseline:
+            document["baseline"] = {
+                "note": "measured by this harness with --save-baseline",
+                "points": points,
+            }
+        document["speedups"] = compute_speedups(
+            points, document.get("baseline", {}).get("points", [])
+        )
+    if backend_points:
+        merged = {_point_key(p): p for p in document.get("backend_points", [])}
+        merged.update((_point_key(p), p) for p in backend_points)
+        document["backend_points"] = list(merged.values())
+        document["backend_speedups"] = compute_backend_speedups(document["backend_points"])
+    if serialization is not None:
+        document["serialization"] = serialization
 
     args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {args.output}")
-    for speedup in document["speedups"]:
+    for speedup in document["speedups"] if points is not None else ():
         print(
             f"  {speedup['circuit']}_{speedup['size']}: routing "
             f"{speedup['baseline_routing_seconds']:.4f}s -> {speedup['routing_seconds']:.4f}s "
             f"({speedup['speedup_routing']}x)"
         )
-    for speedup in document["backend_speedups"]:
+    for speedup in document["backend_speedups"] if backend_points else ():
         print(
             f"  {speedup['circuit']}_{speedup['size']} on {speedup['device']}: flat "
-            f"{speedup['flat_routing_seconds']:.4f}s vs incremental "
-            f"{speedup['incremental_routing_seconds']:.4f}s "
+            f"{speedup['flat_routing_seconds']:.4f}s vs naive "
+            f"{speedup['naive_routing_seconds']:.4f}s "
             f"({speedup['speedup_routing']}x)"
         )
     return 0

@@ -7,13 +7,12 @@ The package mirrors the paper's structure:
 * :mod:`repro.hardware` — the QCCD device model (traps, junctions,
   L/G/S topologies, the static weighted slot graph);
 * :mod:`repro.core` — the S-SYNC compiler itself (generic swaps,
-  heuristic scheduler, initial mappings) with three bit-identical
+  heuristic scheduler, initial mappings) with two bit-identical
   scheduler cores: :mod:`repro.core.flatstate` (the default ``"flat"``
-  backend — batched candidate scoring on flat integer arrays, 2-3x the
-  incremental core on routing-bound 64-128 qubit devices),
-  :mod:`repro.core.incremental` (delta-evaluated scoring: score caches,
-  candidate memoisation, O(1) state bookkeeping, ≥3x the naive
-  reference on the Fig. 15 points) and the naive reference scorer;
+  backend — batched candidate scoring on flat integer arrays, ≥6x the
+  naive reference on routing-bound devices) and the naive reference
+  scorer (:meth:`HeuristicCost.swap_score` on a state copy per
+  candidate);
 * :mod:`repro.baselines` — reimplementations of the Murali et al. and
   Dai et al. compilers the paper compares against;
 * :mod:`repro.noise` — gate-time, heating and fidelity models plus the
@@ -55,8 +54,8 @@ The package mirrors the paper's structure:
   percentiles, reproducible request plans);
 * :mod:`repro.fuzz` — differential scenario fuzzing behind
   ``python -m repro fuzz``: a seeded generator cross-producting random
-  circuits with random devices, an oracle asserting three-way scheduler
-  parity plus legality, codec and noise invariants, a delta-debugging
+  circuits with random devices, an oracle asserting flat-versus-naive
+  scheduler parity plus legality, codec and noise invariants, a delta-debugging
   minimizer producing 1-minimal reproducers, and the replayable
   regression corpus under ``tests/fuzz/corpus/``.
 

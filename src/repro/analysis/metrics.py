@@ -19,14 +19,9 @@ from repro.hardware.device import QCCDDevice
 from repro.noise.evaluator import EvaluationResult
 from repro.noise.gate_times import GateImplementation
 from repro.noise.heating import HeatingParameters
-from repro.registry import normalize_compiler_name as normalize_compiler_name  # noqa: F401
 from repro.runtime.api import run_batch
 from repro.runtime.cache import ScheduleCache
 from repro.runtime.jobs import CompileJob, compile_job
-
-# Compiler-name resolution lives in :mod:`repro.registry`; the re-export
-# above is a deprecation shim for callers that used to resolve aliases
-# through this module.
 
 
 @dataclass(frozen=True)

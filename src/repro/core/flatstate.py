@@ -1,11 +1,10 @@
 """Flat-array scheduler core: batched candidate scoring on integer vectors.
 
-The incremental core (:mod:`repro.core.incremental`) removed the
-per-candidate state copy; the remaining fat is *representational* —
-``DeviceState`` keeps dicts of lists, candidate generation walks those
-dicts, and every scored candidate still mutates and reverts the live
-chains.  This module rebuilds the routing hot path on flat integer
-vectors instead:
+The reference scorer (:meth:`HeuristicCost.swap_score`) copies the
+``DeviceState`` for every candidate, applies the candidate to the copy
+and rescores every waiting gate; ``DeviceState`` itself keeps dicts of
+lists, and candidate generation walks those dicts.  This module rebuilds
+the routing hot path on flat integer vectors instead:
 
 * :class:`FlatState` — a mirror of the run's working
   :class:`~repro.core.state.DeviceState` on ``array('i')`` vectors: one
@@ -30,17 +29,15 @@ vectors instead:
   dispatch, no method calls between candidates.
 
 Scores are **bit-for-bit identical** to the reference scorer
-(:meth:`HeuristicCost.swap_score`) and the incremental scorer: the
-distance arithmetic replays :func:`repro.core.incremental
-.make_fast_distance` operation-for-operation on the same float inputs
-(the device's dense routing tables, exported flattened by
+(:meth:`HeuristicCost.swap_score`): the distance arithmetic replays
+:meth:`HeuristicCost.pair_distance` operation-for-operation on the same
+float inputs (the device's dense routing tables, exported flattened by
 :attr:`QCCDDevice.flat_routing_tables`), the frontier minimum is read
 off per-decay-class ``(dis, index)`` sort order, and the lookahead term
 uses the reference scorer's base-plus-deltas definition, where a gate
 whose distance is unchanged contributes an exact ``0.0``.  The
-randomized three-way parity suite
-(``tests/core/test_incremental_parity.py``) asserts schedule and
-statistics equality across all backends.
+randomized parity suite asserts schedule and statistics equality
+between the two backends.
 
 Downstream of scoring, the flat backend also *materialises* its output
 in one pass: the scheduler emits operations straight into a columnar
@@ -210,8 +207,8 @@ class FlatCandidateBatch:
     instead of a :class:`GenericSwap` object; the object is materialised
     only for the single winning candidate (:meth:`build`), not for the
     ~20 losers of a typical iteration.  List order is the reference
-    candidate order — index ``i`` here is candidate ``i`` of the other
-    backends.
+    candidate order — index ``i`` here is candidate ``i`` of the naive
+    backend.
     """
 
     __slots__ = ("items",)
@@ -402,8 +399,8 @@ def _flat_pair_distance(
 ) -> float:
     """Eq. 2's ``dis`` term off the flat arrays.
 
-    Bit-identical to :func:`repro.core.incremental.make_fast_distance`
-    (same operand order, same float inputs).  Also serves as the
+    Bit-identical to :meth:`HeuristicCost.pair_distance` (same operand
+    order, same float inputs).  Also serves as the
     hypothetical-SWAP distance: the batched scorer exchanges the two
     position entries in ``qpos`` before calling it (a SWAP changes
     nothing else the distance reads).
@@ -429,70 +426,12 @@ def _flat_pair_distance(
     return inner * (to_end_a + to_end_b) + shuttle_w * dist[index]
 
 
-def _flat_shuttle_distance(
-    a: int,
-    b: int,
-    moved: int,
-    source: int,
-    target: int,
-    src_shift: int,
-    tgt_shift: int,
-    qtrap: array,
-    qpos: array,
-    length: array,
-    next_hop: array,
-    penultimate: array,
-    dist: array,
-    n: int,
-    inner: float,
-    shuttle_w: float,
-) -> float:
-    """``dis`` under a hypothetical shuttle of ``moved`` (source → target).
-
-    The caller has already retargeted ``moved`` in ``qtrap``/``qpos``
-    and adjusted the two chain lengths; the uniform position shift a
-    left pop / left merge applies to *other* ions in the source/target
-    chains is folded in here instead of being written to the arrays, so
-    scoring a candidate never touches unrelated entries.
-    """
-    ta = qtrap[a]
-    tb = qtrap[b]
-    pa = qpos[a]
-    if a != moved:
-        if ta == source:
-            pa += src_shift
-        elif ta == target:
-            pa += tgt_shift
-    pb = qpos[b]
-    if b != moved:
-        if tb == source:
-            pb += src_shift
-        elif tb == target:
-            pb += tgt_shift
-    if ta == tb:
-        separation = pa - pb
-        if separation < 0:
-            separation = -separation
-        if separation > 1:
-            separation -= 1
-        else:
-            separation = 0
-        return inner * (separation + 1)
-    index = ta * n + tb
-    hop_a = next_hop[index]
-    to_end_a = length[ta] - 1 - pa if hop_a > ta else pa
-    hop_b = penultimate[index]
-    to_end_b = length[tb] - 1 - pb if hop_b > tb else pb
-    return inner * (to_end_a + to_end_b) + shuttle_w * dist[index]
-
-
 class FlatBatchScorer:
     """Batched evaluation of ``H(swap)`` (Eq. 1) over the flat arrays.
 
-    ``begin_iteration`` carries the incremental scorer's snapshot
-    discipline (rebuild on DAG revision change, otherwise patch only the
-    gates recent swaps affected) and extends it with per-iteration
-    *index maps*: qubit -> gate indices and, for cross-trap gates,
+    ``begin_iteration`` keeps a per-gate distance snapshot (rebuilt on
+    a DAG revision change, otherwise patched for only the gates recent
+    swaps affected) plus per-iteration *index maps*: qubit -> gate indices and, for cross-trap gates,
     trap -> (gate index, which-end-the-route-leaves-by).  :meth:`select`
     then scores **all** candidates of the iteration in one pass — per
     candidate it assembles the exact set of gates whose distance can
@@ -513,7 +452,7 @@ class FlatBatchScorer:
     ``qubit_pos`` entries, a shuttle retargets the moved ion and adjusts
     two chain lengths, and the uniform position shift of bystander ions
     is folded into the distance arithmetic.  Scores are bit-identical to
-    :meth:`HeuristicCost.swap_score` and the incremental scorer.
+    :meth:`HeuristicCost.swap_score`.
     """
 
     __slots__ = (
@@ -587,7 +526,7 @@ class FlatBatchScorer:
             self._pending_qubits.add(candidate.qubit_b)
 
     # ------------------------------------------------------------------
-    # per-iteration snapshot (same discipline as IncrementalSwapScorer)
+    # per-iteration snapshot
     # ------------------------------------------------------------------
     def begin_iteration(
         self,
@@ -783,7 +722,7 @@ class FlatBatchScorer:
         Counts one candidate evaluation per candidate into ``stats`` and
         applies the reference tie-break (first candidate strictly better
         than the incumbent by more than ``1e-12`` wins), so schedules
-        *and* statistics match the other backends bit-for-bit.
+        *and* statistics match the naive backend bit-for-bit.
 
         The distance arithmetic is inlined — at full scale the scorer
         recomputes a couple of million distances per run and the call

@@ -127,46 +127,6 @@ class GenericSwap:
             return (self.qubit_a,)
         return (self.qubit_a, self.qubit_b)
 
-    @property
-    def touched_traps(self) -> tuple[int, ...]:
-        """The traps whose chains change when this swap is applied.
-
-        A SWAP gate reorders one chain; a shuttle changes the source and
-        the target chain (and possibly their fullness).  Everything else
-        on the device is untouched — this is what makes delta evaluation
-        of ``H(swap)`` possible.
-        """
-        if self.target_trap is None:
-            return (self.trap,)
-        return (self.trap, self.target_trap)
-
-    def apply_to(self, state: DeviceState) -> None:
-        """Apply this swap to ``state`` via the unchecked fast paths.
-
-        Candidates are generated legal against the state they score, so
-        the legality checks of :meth:`DeviceState.shuttle` are skipped.
-        The applied move is undone by :meth:`undo` — both primitives are
-        their own inverse in the chain model, so no extra undo record is
-        needed beyond the candidate itself.
-        """
-        if self.kind is GenericSwapKind.SWAP_GATE:
-            state.unchecked_swap(self.qubit_a, self.qubit_b)  # type: ignore[arg-type]
-        else:
-            state.unchecked_shuttle(self.qubit_a, self.trap, self.target_trap)  # type: ignore[arg-type]
-
-    def undo(self, state: DeviceState) -> None:
-        """Exactly revert a preceding :meth:`apply_to` on ``state``.
-
-        The SWAP exchanges the same two ions back; the shuttle runs in
-        reverse (the ion re-enters its old chain at the end it left
-        from), restoring chains, positions and fullness counters
-        bit-for-bit.
-        """
-        if self.kind is GenericSwapKind.SWAP_GATE:
-            state.unchecked_swap(self.qubit_a, self.qubit_b)  # type: ignore[arg-type]
-        else:
-            state.unchecked_shuttle(self.qubit_a, self.target_trap, self.trap)  # type: ignore[arg-type]
-
     def reverses(self, other: "GenericSwap | None") -> bool:
         """True when applying this swap right after ``other`` undoes it."""
         if other is None or self.kind != other.kind:

@@ -15,9 +15,9 @@ iterations).
 
 :meth:`HeuristicCost.swap_score` here is the *reference* evaluator — a
 scratch state copy and a full rescore per candidate.  The production
-hot path delta-evaluates the same quantities bit-identically
-(:mod:`repro.core.incremental`); the randomized parity suite holds the
-two together.
+hot path scores every candidate of an iteration in one batched pass over
+flat integer arrays, bit-identically (:mod:`repro.core.flatstate`); the
+randomized parity suite holds the two together.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class DecayTracker:
     def factors(self, pairs: list[tuple[int, int]]) -> list[float]:
         """:meth:`factor` for many gates at once (one scheduler iteration).
 
-        Bulk variant for the incremental scorer: identical values, one
-        call per iteration instead of one per gate.
+        Bulk variant for the flat scorer: identical values, one call
+        per iteration instead of one per gate.
         """
         last_touched = self._last_touched
         if not last_touched:

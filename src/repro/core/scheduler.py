@@ -17,15 +17,13 @@ Two engineering safeguards complement the paper's description:
   inputs.
 
 The hot path is selectable via ``SchedulerConfig.backend`` and ships in
-three implementations that produce bit-identical schedules and
-statistics (asserted by the randomized parity suite):
+two implementations that produce bit-identical schedules and statistics
+(asserted by the randomized parity suite):
 
 * ``"flat"`` (default) — candidate generation and batched scoring on
   flat integer arrays (:mod:`repro.core.flatstate`); every candidate of
   an iteration is evaluated in one pass with hypothetical placements
   costing a few array writes.
-* ``"incremental"`` — delta evaluation on the live ``DeviceState`` with
-  per-candidate apply/undo (:mod:`repro.core.incremental`).
 * ``"naive"`` — the reference implementation: a fresh ``state.copy()``
   and a full rescore per candidate.
 """
@@ -39,8 +37,7 @@ from repro.circuit.dag import DependencyDAG
 from repro.circuit.gate import Gate
 from repro.core.flatstate import FlatCandidateBatch, FlatRun, FlatState
 from repro.core.generic_swap import GenericSwap, GenericSwapKind, GenericSwapRules
-from repro.core.heuristic import DecayTracker, HeuristicCost, apply_generic_swap
-from repro.core.incremental import IncrementalRun
+from repro.core.heuristic import DecayTracker, HeuristicCost
 from repro.core.state import DeviceState
 from repro.exceptions import SchedulingError
 from repro.hardware.device import QCCDDevice
@@ -54,13 +51,19 @@ from repro.schedule.operations import (
 )
 from repro.schedule.schedule import Schedule
 
-#: The selectable scheduler cores, fastest first.  All three produce
+#: The selectable scheduler cores, fastest first.  Both produce
 #: bit-identical schedules and statistics; see the module docstring.
-SCHEDULER_BACKENDS = ("flat", "incremental", "naive")
+SCHEDULER_BACKENDS = ("flat", "naive")
 
-#: Union of the per-run cache bundles the scheduling loop threads around
-#: (``None`` is the naive backend: no caches, reference scoring).
-RunCaches = "FlatRun | IncrementalRun | None"
+#: The numeric ``SchedulerConfig`` fields: (name, accepted types, wording).
+_NUMERIC_FIELDS = (
+    ("decay_delta", (int, float), "a number"),
+    ("decay_reset_interval", int, "an int"),
+    ("lookahead_depth", int, "an int"),
+    ("lookahead_weight", (int, float), "a number"),
+    ("stall_limit", int, "an int"),
+    ("max_generic_swaps", int, "an int"),
+)
 
 
 @dataclass(frozen=True)
@@ -85,20 +88,25 @@ class SchedulerConfig:
     lookahead_weight: float = 0.5
     stall_limit: int = 64
     max_generic_swaps: int = 2_000_000
-    #: Legacy backend toggle kept for compatibility: ``True`` selects the
-    #: ``"incremental"`` backend, ``False`` the ``"naive"`` one.  When
-    #: set it wins over ``backend`` and is normalized back to ``None``
-    #: during ``__post_init__`` so only ``backend`` carries the resolved
-    #: choice (and ``dataclasses.replace`` chains keep working).
-    incremental: "bool | None" = None
     #: Which scheduler core scores candidates — one of
     #: :data:`SCHEDULER_BACKENDS`.  ``None`` resolves to ``"flat"``.
-    #: All backends produce bit-identical schedules and statistics
-    #: (asserted by the randomized parity suite); the slower ones exist
-    #: as references and for benchmarking the speedups.
+    #: Both backends produce bit-identical schedules and statistics
+    #: (asserted by the randomized parity suite); ``"naive"`` exists as
+    #: the reference and for benchmarking the speedup.
     backend: "str | None" = None
 
     def __post_init__(self) -> None:
+        # Manifests build configs from untyped JSON: reject ill-typed
+        # values here, as a SchedulingError, before any compile reads them.
+        if not isinstance(self.weights, GraphWeights):
+            raise SchedulingError(
+                "weights must be a GraphWeights (manifests set it through weight_ratio), "
+                f"not {type(self.weights).__name__}"
+            )
+        for name, allowed, kind in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise SchedulingError(f"{name} must be {kind}, not {type(value).__name__}")
         if self.stall_limit < 1:
             raise SchedulingError("stall_limit must be at least 1")
         if self.max_generic_swaps < 1:
@@ -109,10 +117,7 @@ class SchedulerConfig:
         # (run(), pipeline statistics, benchmarks) reads one field and
         # the naive candidate loop can never be reached by accident.
         backend = self.backend
-        if self.incremental is not None:
-            backend = "incremental" if self.incremental else "naive"
-            object.__setattr__(self, "incremental", None)
-        elif backend is None:
+        if backend is None:
             backend = "flat"
         if backend not in SCHEDULER_BACKENDS:
             raise SchedulingError(
@@ -160,19 +165,10 @@ class GenericSwapScheduler:
         trailing_1q = dag.trailing_single_qubit
         decay = DecayTracker(self.config.decay_delta, self.config.decay_reset_interval)
         backend = self.config.backend
-        caches: "FlatRun | IncrementalRun | None"
+        caches: "FlatRun | None"
         if backend == "flat":
             caches = FlatRun(state, self.device, self.rules, self.cost)
             generate_candidates = caches.generator.candidates_for_gates
-        elif backend == "incremental":
-            caches = IncrementalRun(state, self.device, self.rules, self.cost)
-            generate_candidates = caches.candidates.candidates_for_gates
-        elif backend == "naive":
-            caches = None
-            generate_candidates = self.rules.candidates_for_gates
-        else:  # pragma: no cover - __post_init__ validates the field
-            raise SchedulingError(f"unknown scheduler backend {backend!r}")
-        if isinstance(caches, FlatRun):
             flat_mirror = caches.flat
             # Single-pass materialisation: the flat backend appends plain
             # scalars into the schedule's columnar slab — no per-op
@@ -184,11 +180,15 @@ class GenericSwapScheduler:
                     dag, flat_mirror, schedule, pending_1q, stats, ready
                 )
 
-        else:
+        elif backend == "naive":
+            caches = None
+            generate_candidates = self.rules.candidates_for_gates
 
             def execute_ready(ready: "list[tuple[int, Gate]] | None" = None) -> bool:
                 return self._execute_ready_gates(dag, state, schedule, pending_1q, stats, ready)
 
+        else:  # pragma: no cover - __post_init__ validates the field
+            raise SchedulingError(f"unknown scheduler backend {backend!r}")
 
         last_swap: GenericSwap | None = None
         swaps_since_progress = 0
@@ -497,7 +497,7 @@ class GenericSwapScheduler:
         lookahead_pairs: list[tuple[int, int]] | None,
         decay: DecayTracker,
         stats: SchedulerStatistics,
-        caches: "FlatRun | IncrementalRun | None",
+        caches: "FlatRun | None",
         revision: int = -1,
     ) -> GenericSwap:
         if isinstance(caches, FlatRun):
@@ -523,22 +523,6 @@ class GenericSwapScheduler:
             stats.candidate_evaluations += 1
             return best_candidate
         best_score = float("inf")
-        if caches is not None:
-            scorer = caches.scorer
-            scorer.begin_iteration(
-                frontier_pairs,
-                decay,
-                lookahead_pairs,
-                self.config.lookahead_weight,
-                revision,
-            )
-            for candidate in candidates:
-                score = scorer.score(state, candidate)
-                stats.candidate_evaluations += 1
-                if score < best_score - 1e-12:
-                    best_score = score
-                    best_candidate = candidate
-            return best_candidate
         for candidate in candidates:
             score = self.cost.swap_score(
                 state,
@@ -559,14 +543,14 @@ class GenericSwapScheduler:
         schedule: Schedule,
         state: DeviceState,
         candidate: GenericSwap,
-        caches: "FlatRun | IncrementalRun | None" = None,
+        caches: "FlatRun | None" = None,
     ) -> None:
         locations = state.locations
         chains = state.chains
         # In slab mode (the flat backend) the applied move is emitted as
-        # plain scalars into the columnar slab; the classic backends
-        # construct the record objects as before.  Field values are
-        # computed identically either way.
+        # plain scalars into the columnar slab; the naive reference
+        # constructs the record objects.  Field values are computed
+        # identically either way.
         slab = schedule.slab
         if candidate.kind is GenericSwapKind.SWAP_GATE:
             assert candidate.qubit_b is not None
@@ -636,7 +620,7 @@ class GenericSwapScheduler:
         state: DeviceState,
         gate: Gate,
         stats: SchedulerStatistics,
-        caches: "FlatRun | IncrementalRun | None" = None,
+        caches: "FlatRun | None" = None,
     ) -> None:
         """Deterministically co-locate the operands of ``gate``."""
         qubit_a, qubit_b = gate.qubits
@@ -696,7 +680,7 @@ class GenericSwapScheduler:
         state: DeviceState,
         trap_id: int,
         protected: tuple[int, ...],
-        caches: "FlatRun | IncrementalRun | None" = None,
+        caches: "FlatRun | None" = None,
     ) -> None:
         """Free one slot in ``trap_id`` by pushing ions towards the nearest trap with room."""
         path = self._path_to_free_slot(state, trap_id)

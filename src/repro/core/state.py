@@ -19,8 +19,7 @@ count of completely full traps (the Pen term of Eq. 2, O(1) via
 :meth:`full_trap_count`).  Mutations keep all three in sync; the
 unchecked fast paths (:meth:`unchecked_swap`, :meth:`unchecked_shuttle`)
 skip the legality checks for callers that apply *known-legal* moves —
-the incremental scorer applies and reverts every candidate on the live
-state instead of copying it.
+the scheduler applies each selected candidate through them.
 """
 
 from __future__ import annotations

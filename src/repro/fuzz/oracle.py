@@ -2,10 +2,9 @@
 
 For a scenario the oracle
 
-1. compiles the circuit through **all three scheduler backends**
-   (``naive`` is the reference; ``flat`` and ``incremental`` must match
-   it bit-for-bit in schedule bytes, scheduler statistics and initial /
-   final occupancy);
+1. compiles the circuit through **both scheduler backends**
+   (``naive`` is the reference; ``flat`` must match it bit-for-bit in
+   schedule bytes, scheduler statistics and initial / final occupancy);
 2. compiles through the **baseline compilers** (Murali, Dai) — their
    schedules differ from S-SYNC's by design, but must still be legal;
 3. replays every emitted schedule through the legality verifier
@@ -51,11 +50,11 @@ from repro.schedule.serialize import (
 from repro.schedule.verify import verify_schedule
 
 #: Backend order the oracle compiles in: the naive reference scorer
-#: first, so the two optimised cores are judged against it.
+#: first, so the flat core is judged against it.
 #: (:data:`SCHEDULER_BACKENDS` lists the cores fastest-first instead.)
-DEFAULT_BACKENDS = ("naive", "flat", "incremental")
+DEFAULT_BACKENDS = ("naive", "flat")
 
-#: Baseline compilers the oracle drives beside the three S-SYNC backends.
+#: Baseline compilers the oracle drives beside the two S-SYNC backends.
 DEFAULT_BASELINES = ("murali", "dai")
 
 #: Gate implementations the noise invariants are checked under.
@@ -106,8 +105,8 @@ def run_oracle(
     Raises :class:`OracleFailure` on the first violated check; returns
     an :class:`OracleReport` when every check passes.  ``backends`` must
     contain at least one entry; the first is the parity reference (keep
-    ``naive`` first so the two optimised cores are judged against the
-    reference scorer).
+    ``naive`` first so the flat core is judged against the reference
+    scorer).
     """
     if not backends:
         raise ReproError("the oracle needs at least one scheduler backend")
@@ -132,7 +131,7 @@ def run_oracle(
         scenario, "encode:binary", lambda: schedule_to_bytes(reference.schedule)
     )
 
-    # -- 2. three-way parity ------------------------------------------
+    # -- 2. backend parity -------------------------------------------
     for backend in backends[1:]:
         result = results[backend]
         if schedule_to_bytes(result.schedule) != reference_bytes:

@@ -185,12 +185,6 @@ class SchedulingPass(Pass):
             # bypassed that resolution.
             assert backend in SCHEDULER_BACKENDS, f"unresolved scheduler backend {backend!r}"
             data["scheduler_core"] = backend
-        else:
-            # Foreign scheduler configs predating the backend field may
-            # still carry the legacy boolean toggle.
-            incremental = getattr(config, "incremental", None)
-            if incremental is not None:
-                data["scheduler_core"] = "incremental" if incremental else "naive"
         return data
 
 

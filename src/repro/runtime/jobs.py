@@ -38,13 +38,8 @@ from repro.hardware.device import QCCDDevice
 from repro.hardware.presets import paper_device
 from repro.noise.gate_times import GateImplementation
 from repro.noise.heating import HeatingParameters
-from repro.registry import compiler_spec, make_pipeline
-from repro.registry import normalize_compiler_name as normalize_compiler_name  # noqa: F401
+from repro.registry import compiler_spec, make_pipeline, normalize_compiler_name
 from repro.schedule.serialize import device_to_dict
-
-# ``normalize_compiler_name`` used to live here; it moved to
-# :mod:`repro.registry` so every entry point shares one alias table.  The
-# re-export above is a deprecation shim — import it from repro.registry.
 
 
 def _digest(payload: Any) -> str:

@@ -83,6 +83,8 @@ def ssync_config_from_dict(data: Mapping[str, Any]) -> SSyncConfig:
     ratio: float | None = None
     for key, value in data.items():
         if key == "weight_ratio":
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ManifestError(f"weight_ratio must be a number, not {value!r}")
             ratio = float(value)
         elif key in _TOP_LEVEL_KEYS:
             top[key] = value

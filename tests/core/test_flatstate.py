@@ -1,8 +1,8 @@
 """Unit tests for the flat-array scheduler core building blocks.
 
 The randomized parity suite (``test_incremental_parity.py``) holds the
-whole flat backend against the reference end-to-end; these tests pin the
-pieces in isolation — the array mirror's mutation semantics, the
+whole flat backend against the naive reference end-to-end; these tests
+pin the pieces in isolation — the array mirror's mutation semantics, the
 flattened routing tables, the deferred candidate batch, and the
 once-only backend resolution in ``SchedulerConfig``.
 """
@@ -168,17 +168,18 @@ class TestBackendResolution:
     def test_explicit_backend_sticks(self, backend: str) -> None:
         assert SchedulerConfig(backend=backend).backend == backend
 
-    def test_legacy_incremental_flag_wins(self) -> None:
-        config = SchedulerConfig(incremental=True, backend="flat")
-        assert config.backend == "incremental"
-        assert config.incremental is None  # normalized away after resolution
-        assert SchedulerConfig(incremental=False).backend == "naive"
+    def test_incremental_backend_is_gone(self) -> None:
+        """Neither the legacy boolean toggle nor the backend name survives."""
+        with pytest.raises(TypeError):
+            SchedulerConfig(incremental=True)
+        with pytest.raises(SchedulingError, match=r"\('flat', 'naive'\)"):
+            SchedulerConfig(backend="incremental")
 
     def test_replace_chain_preserves_resolution(self) -> None:
         """dataclasses.replace re-runs __post_init__ on resolved values."""
-        config = SchedulerConfig(incremental=False)
+        config = SchedulerConfig(backend="naive")
         assert replace(config, lookahead_depth=2).backend == "naive"
-        assert replace(config, incremental=True).backend == "incremental"
+        assert replace(replace(config, stall_limit=8), decay_delta=0.0).backend == "naive"
         assert replace(SchedulerConfig(), backend="naive").backend == "naive"
 
     def test_unknown_backend_rejected(self) -> None:

@@ -152,36 +152,3 @@ class TestCandidateGeneration:
         shuttle = next(c for c in candidates if c.kind is GenericSwapKind.SHUTTLE)
         assert shuttle.weight == pytest.approx(2.0)
 
-
-class TestApplyUndo:
-    """GenericSwap.apply_to / undo restore the state bit-for-bit."""
-
-    def _state(self):
-        device = linear_device(2, 4)
-        return DeviceState.from_mapping(device, {0: [0, 1, 2], 1: [3]})
-
-    def test_swap_apply_and_undo(self):
-        state = self._state()
-        snapshot = state.occupancy()
-        candidate = GenericSwap(GenericSwapKind.SWAP_GATE, 0, 2, 0, None, 0.002)
-        candidate.apply_to(state)
-        assert state.chain(0) == (2, 1, 0)
-        candidate.undo(state)
-        assert state.occupancy() == snapshot
-        state.validate()
-
-    def test_shuttle_apply_and_undo(self):
-        state = self._state()
-        snapshot = state.occupancy()
-        candidate = GenericSwap(GenericSwapKind.SHUTTLE, 2, None, 0, 1, 1.0)
-        candidate.apply_to(state)
-        assert state.trap_of(2) == 1
-        candidate.undo(state)
-        assert state.occupancy() == snapshot
-        state.validate()
-
-    def test_touched_traps(self):
-        swap = GenericSwap(GenericSwapKind.SWAP_GATE, 0, 2, 0, None, 0.002)
-        shuttle = GenericSwap(GenericSwapKind.SHUTTLE, 2, None, 0, 1, 1.0)
-        assert swap.touched_traps == (0,)
-        assert shuttle.touched_traps == (0, 1)

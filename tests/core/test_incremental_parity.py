@@ -1,9 +1,8 @@
-"""Randomized parity suite: all three scheduler backends are bit-identical.
+"""Randomized parity suite: both scheduler backends are bit-identical.
 
-The fast cores (``"incremental"``: delta-evaluated H(swap) on the live
-state; ``"flat"``: batched candidate scoring on integer slot vectors)
-must be *bit-for-bit* behaviour-preserving: for any circuit, topology
-and lookahead depth, the schedule each emits — serialised
+The fast core (``"flat"``: batched candidate scoring on integer slot
+vectors) must be *bit-for-bit* behaviour-preserving: for any circuit,
+topology and lookahead depth, the schedule it emits — serialised
 byte-for-byte — and the scheduler statistics must equal those of the
 naive reference scorer (``SchedulerConfig(backend="naive")``: a fresh
 state copy and a full rescore per candidate, the seed implementation's
@@ -59,7 +58,7 @@ def run_backends(circuit: QuantumCircuit, device, lookahead_depth: int):
     return results
 
 
-def assert_three_way(results) -> None:
+def assert_parity(results) -> None:
     """Schedules, statistics and final occupancy equal across backends."""
     (ref_schedule, ref_state, ref_stats) = results[-1]  # the naive reference
     reference = serialized(ref_schedule)
@@ -82,7 +81,7 @@ class TestRandomizedParity:
         # A small capacity forces evictions and congested routing.
         device = paper_device(topology, capacity=max(3, num_qubits // 2))
         circuit = random_circuit(rng, num_qubits, num_gates)
-        assert_three_way(run_backends(circuit, device, lookahead_depth))
+        assert_parity(run_backends(circuit, device, lookahead_depth))
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_library_circuits(self, topology: str) -> None:
@@ -91,18 +90,18 @@ class TestRandomizedParity:
         device = paper_device(topology, capacity=8)
         for family, size in (("qft", 12), ("alt", 12), ("adder", 5)):
             circuit = build_family(family, size)
-            assert_three_way(run_backends(circuit, device, 4))
+            assert_parity(run_backends(circuit, device, 4))
 
     def test_congested_device_with_forced_routes(self) -> None:
         """Parity must survive the stall/force-route fallback path."""
         rng = random.Random(1234)
         device = paper_device("G-2x2", capacity=4)
         circuit = random_circuit(rng, 12, 80)
-        assert_three_way(run_backends(circuit, device, 4))
+        assert_parity(run_backends(circuit, device, 4))
 
 
 class TestLargeDeviceParity:
-    """Three-way parity at benchmark scale: 48/64 qubits, tight slack."""
+    """Parity at benchmark scale: 48/64 qubits, tight slack."""
 
     @pytest.mark.parametrize(
         ("topology", "capacity", "num_qubits"),
@@ -114,7 +113,7 @@ class TestLargeDeviceParity:
         rng = random.Random(num_qubits * 31 + capacity)
         device = paper_device(topology, capacity=capacity)
         circuit = random_circuit(rng, num_qubits, 120)
-        assert_three_way(run_backends(circuit, device, 4))
+        assert_parity(run_backends(circuit, device, 4))
 
     def test_library_circuits_at_scale(self) -> None:
         from repro.circuit.library import build_family
@@ -122,7 +121,7 @@ class TestLargeDeviceParity:
         device = paper_device("G-3x3", capacity=8)
         for family in ("qft", "alt"):
             circuit = build_family(family, 48)
-            assert_three_way(run_backends(circuit, device, 4))
+            assert_parity(run_backends(circuit, device, 4))
 
 
 def _heterogeneous_linear_device(capacities: tuple[int, ...]) -> QCCDDevice:
@@ -149,7 +148,7 @@ def _heterogeneous_grid_device(rows: int, cols: int, capacities: tuple[int, ...]
 
 
 class TestHeterogeneousCapacityParity:
-    """Three-way parity when per-trap capacities differ.
+    """Parity when per-trap capacities differ.
 
     The flat mirror stores capacity per trap (the slab bases are
     prefix sums of the capacity vector) and the full-trap penalty
@@ -162,11 +161,11 @@ class TestHeterogeneousCapacityParity:
         device = _heterogeneous_linear_device((4, 9, 3, 7))
         circuit = random_circuit(rng, 14, 70)
         for depth in LOOKAHEAD_DEPTHS:
-            assert_three_way(run_backends(circuit, device, depth))
+            assert_parity(run_backends(circuit, device, depth))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_grid_mixed_capacities(self, seed: int) -> None:
         rng = random.Random(seed * 104729)
         device = _heterogeneous_grid_device(2, 3, (3, 8, 4, 6, 3, 5))
         circuit = random_circuit(rng, 16, 80)
-        assert_three_way(run_backends(circuit, device, 4))
+        assert_parity(run_backends(circuit, device, 4))

@@ -74,7 +74,7 @@ class TestSchedulerSoundness:
     @given(compile_cases())
     @settings(max_examples=25, deadline=None)
     def test_all_backends_agree_bit_for_bit(self, case):
-        """Three-way parity: naive, incremental and flat are one scheduler.
+        """Backend parity: naive and flat are one scheduler.
 
         The same invariant the fuzzing oracle (:mod:`repro.fuzz.oracle`)
         enforces on generated scenarios, here driven by hypothesis:

@@ -12,6 +12,7 @@ from repro.circuit.library import build_benchmark, qft_circuit
 from repro.core.compiler import SSyncConfig
 from repro.exceptions import CircuitError, ReproError
 from repro.hardware.presets import paper_device
+from repro.registry import normalize_compiler_name
 from repro.runtime import jobs as jobs_module
 from repro.runtime.jobs import (
     CompileJob,
@@ -19,7 +20,6 @@ from repro.runtime.jobs import (
     compile_job,
     config_fingerprint,
     device_fingerprint,
-    normalize_compiler_name,
 )
 
 
@@ -95,10 +95,10 @@ class TestFingerprints:
         """Cache keys, job ids and records hang off these digests: pinned."""
         job = CompileJob(circuit="qft_10", device="G-2x2")
         assert job.compile_fingerprint() == (
-            "ebac9ff571d2a94163f38cb5f68ab232b93fafedd05fed1eb1eff3be0726315d"
+            "b689431a1b1aff6b8d9044f557772ae15cf1eb6d40b6ad62ca75ddd4df0c27d0"
         )
         assert job.fingerprint() == (
-            "52bd8c8334c96589067ab8a13055d29044bfc3bc48ee6aae09936fef73bfae4f"
+            "86d2fe364bcc78f8849ed576a5c461673ed22c9133e3689422b4ab05d52db698"
         )
 
     def test_named_circuit_is_built_once_for_many_jobs(self, monkeypatch):

@@ -200,6 +200,26 @@ class TestTypedManifestErrors:
             j.fingerprint() for j in from_document
         ]
 
+    @pytest.mark.parametrize(
+        ("config", "message"),
+        [
+            ({"lookahead_weight": "abc"}, "lookahead_weight must be a number"),
+            ({"decay_delta": "x"}, "decay_delta must be a number"),
+            ({"decay_delta": True}, "decay_delta must be a number"),
+            ({"lookahead_depth": 2.5}, "lookahead_depth must be an int"),
+            ({"stall_limit": False}, "stall_limit must be an int"),
+            ({"weights": 3}, "weight_ratio"),
+            ({"weight_ratio": "abc"}, "weight_ratio must be a number"),
+            ({"backend": 3}, "unknown scheduler backend"),
+            ({"backend": "incremental"}, "unknown scheduler backend"),
+            ({"incremental": True}, "unknown S-SYNC config key"),
+        ],
+    )
+    def test_ill_typed_scheduler_config(self, config, message):
+        document = {"jobs": [{"circuit": "qft_8", "device": "G-2x2", "config": config}]}
+        with pytest.raises(ManifestError, match=message):
+            jobs_from_manifest_text(json.dumps(document))
+
     def test_load_manifest_wraps_json_errors_with_path(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{oops")

@@ -252,6 +252,22 @@ class TestErrorPaths:
         assert excinfo.value.status == 400
         assert "invalid device spec" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        ("config", "message"),
+        [
+            ({"lookahead_weight": "abc"}, "lookahead_weight must be a number"),
+            ({"decay_delta": "x"}, "decay_delta must be a number"),
+            ({"incremental": True}, "unknown S-SYNC config key"),
+        ],
+    )
+    def test_ill_typed_scheduler_config_is_400(self, service_stack, config, message):
+        _, client = service_stack
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"jobs": [{"circuit": "qft_8", "device": "G-2x2", "config": config}]})
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"]["type"] == "manifest_error"
+        assert message in str(excinfo.value)
+
     def test_empty_manifest_is_400(self, service_stack):
         _, client = service_stack
         with pytest.raises(ServiceError) as excinfo:

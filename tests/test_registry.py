@@ -59,14 +59,6 @@ class TestBuiltins:
         names = pipeline.pass_names()
         assert names.index("verify") == names.index("metrics") - 1
 
-    def test_legacy_import_paths_still_resolve(self):
-        """The deprecation shims in jobs/metrics forward to the registry."""
-        from repro.analysis.metrics import normalize_compiler_name as from_metrics
-        from repro.runtime.jobs import normalize_compiler_name as from_jobs
-
-        assert from_jobs is normalize_compiler_name
-        assert from_metrics is normalize_compiler_name
-
 
 @pytest.fixture
 def custom_compiler():
