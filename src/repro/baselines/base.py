@@ -11,7 +11,12 @@ the routing primitives in :class:`BaselineRouter`:
   *direct* variant uses a single long-range SWAP (Dai-style);
 * ``ensure_space`` — evict an ion from a full destination trap to a
   neighbouring trap with room;
-* ``shuttle`` — emit the split/move/merge record and update the state.
+* ``shuttle`` — emit the split/move/merge operation and update the state.
+
+The baselines emit straight into the schedule's columnar slab, as the
+flat S-SYNC core does: each operation is a few plain integer appends,
+read off the state's live ``locations``/``chains``/``positions`` views,
+and no per-operation record object is built.
 
 Like S-SYNC, the baselines compile through the pass pipeline
 (:mod:`repro.pipeline`): :class:`BaselineMappingPass` runs the
@@ -36,7 +41,7 @@ from repro.core.state import DeviceState
 from repro.exceptions import SchedulingError
 from repro.hardware.device import QCCDDevice
 from repro.pipeline import CompilerPipeline, MetricsPass, Pass, PassContext
-from repro.schedule.operations import GateOperation, ShuttleOperation, SwapOperation
+from repro.schedule.operations import KIND_CODE_GATE_1Q, KIND_CODE_GATE_2Q
 from repro.schedule.schedule import Schedule
 
 
@@ -77,25 +82,49 @@ class BaselineRoutingPass(Pass):
         router = self.router
         circuit = context.circuit
         state = context.require_state()
+        missing = [q for q in range(circuit.num_qubits) if not state.is_placed(q)]
+        if missing:
+            raise SchedulingError(
+                f"initial state does not place qubits {missing[:10]} (and possibly more)"
+            )
         schedule = Schedule(router.device, circuit.name)
+        append_gate = schedule.slab.append_gate
+        # Live views: routing mutates the state, the views follow it.
+        locations = state.locations
+        chains = state.chains
+        positions = state.positions
         upcoming = router._upcoming_partners(circuit)
         pending_1q, trailing_1q = router._partition_single_qubit_gates(circuit)
+        code_1q = KIND_CODE_GATE_1Q
+        executed = 0
 
         for index, gate in enumerate(circuit.gates):
-            if gate.is_single_qubit:
-                continue
             if not gate.is_two_qubit:
                 continue
-            for single in pending_1q.pop(index, []):
-                router._emit_single_qubit_gate(schedule, state, single)
-            if not state.same_trap(*gate.qubits):
+            for single in pending_1q.pop(index, ()):
+                trap = locations[single.qubits[0]]
+                append_gate(code_1q, single, trap, len(chains[trap]), 0)
+            qubit_a, qubit_b = gate.qubits
+            if locations[qubit_a] != locations[qubit_b]:
                 router.route_gate(schedule, state, gate, upcoming)
-            router._emit_two_qubit_gate(schedule, state, gate)
-            context.statistics.executed_two_qubit_gates += 1
+            trap = locations[qubit_a]
+            separation = positions[qubit_a] - positions[qubit_b]
+            if separation < 0:
+                separation = -separation
+            append_gate(
+                KIND_CODE_GATE_2Q,
+                gate,
+                trap,
+                len(chains[trap]),
+                separation - 1 if separation > 1 else 0,
+            )
+            executed += 1
             router._consume_upcoming(upcoming, gate)
         for single in trailing_1q:
-            router._emit_single_qubit_gate(schedule, state, single)
+            trap = locations[single.qubits[0]]
+            append_gate(code_1q, single, trap, len(chains[trap]), 0)
 
+        context.statistics.executed_two_qubit_gates += executed
         context.schedule = schedule
         context.final_state = state
 
@@ -185,56 +214,41 @@ class BaselineRouter:
     # ------------------------------------------------------------------
     # emission helpers
     # ------------------------------------------------------------------
-    def _emit_single_qubit_gate(self, schedule: Schedule, state: DeviceState, gate: Gate) -> None:
-        trap = state.trap_of(gate.qubits[0])
-        schedule.append(
-            GateOperation(gate=gate, trap=trap, chain_length=max(state.chain_length(trap), 1))
-        )
-
-    def _emit_two_qubit_gate(self, schedule: Schedule, state: DeviceState, gate: Gate) -> None:
-        qubit_a, qubit_b = gate.qubits
-        trap = state.trap_of(qubit_a)
-        schedule.append(
-            GateOperation(
-                gate=gate,
-                trap=trap,
-                chain_length=state.chain_length(trap),
-                ion_separation=state.ion_separation(qubit_a, qubit_b),
-            )
-        )
-
     def emit_swap(self, schedule: Schedule, state: DeviceState, qubit_a: int, qubit_b: int) -> None:
         """Record and apply one SWAP gate."""
-        trap = state.trap_of(qubit_a)
-        schedule.append(
-            SwapOperation(
-                trap=trap,
-                qubit_a=qubit_a,
-                qubit_b=qubit_b,
-                chain_length=state.chain_length(trap),
-                ion_separation=state.ion_separation(qubit_a, qubit_b),
-            )
+        trap = state.locations[qubit_a]
+        positions = state.positions
+        separation = positions[qubit_a] - positions[qubit_b]
+        if separation < 0:
+            separation = -separation
+        schedule.slab.append_swap(
+            trap,
+            qubit_a,
+            qubit_b,
+            len(state.chains[trap]),
+            separation - 1 if separation > 1 else 0,
         )
+        # The checked SWAP rejects operands in different traps.
         state.swap_qubits(qubit_a, qubit_b)
 
     def emit_shuttle(
         self, schedule: Schedule, state: DeviceState, qubit: int, target_trap: int
     ) -> None:
         """Record and apply one shuttle of ``qubit`` to an adjacent trap."""
-        source_trap = state.trap_of(qubit)
+        source_trap = state.locations[qubit]
         connection = self.device.connection_between(source_trap, target_trap)
-        source_before = state.chain_length(source_trap)
+        chains = state.chains
+        source_before = len(chains[source_trap])
+        # The checked shuttle validates adjacency, end position and room.
         state.shuttle(qubit, target_trap)
-        schedule.append(
-            ShuttleOperation(
-                qubit=qubit,
-                source_trap=source_trap,
-                target_trap=target_trap,
-                segments=connection.segments,
-                junctions=connection.junctions,
-                source_chain_length=source_before,
-                target_chain_length=state.chain_length(target_trap),
-            )
+        schedule.slab.append_shuttle(
+            qubit,
+            source_trap,
+            target_trap,
+            connection.segments,
+            connection.junctions,
+            source_before,
+            len(chains[target_trap]),
         )
 
     # ------------------------------------------------------------------

@@ -38,43 +38,38 @@ class DaiCompiler(BaselineRouter):
     # initial mapping: greedy interaction clustering
     # ------------------------------------------------------------------
     def build_initial_state(self, circuit: QuantumCircuit) -> DeviceState:
-        interaction = circuit.interaction_graph()
+        # Interaction weights: number of two-qubit gates per qubit pair.
+        neighbours: list[dict[int, int]] = [{} for _ in range(circuit.num_qubits)]
+        for gate in circuit:
+            if gate.is_two_qubit:
+                a, b = gate.qubits
+                neighbours[a][b] = neighbours[a].get(b, 0) + 1
+                neighbours[b][a] = neighbours[b].get(a, 0) + 1
+        degree = [sum(weights.values()) for weights in neighbours]
         unassigned = set(range(circuit.num_qubits))
         state = DeviceState(self.device)
         for trap in self.device.traps:
             if not unassigned:
                 break
             quota = max(trap.capacity - self.reserved_slots, 1)
-            cluster: list[int] = []
-            seed = max(
-                unassigned,
-                key=lambda q: (sum(d["weight"] for _, _, d in interaction.edges(q, data=True)), -q),
-            )
-            cluster.append(seed)
+            seed = max(unassigned, key=lambda q: (degree[q], -q))
+            cluster = [seed]
             unassigned.discard(seed)
+            # Every qubit's interaction weight to the growing cluster,
+            # updated as members join instead of rescanned per candidate.
+            to_cluster = [0] * circuit.num_qubits
+            for other, weight in neighbours[seed].items():
+                to_cluster[other] += weight
             while len(cluster) < quota and unassigned:
-                best = max(
-                    unassigned,
-                    key=lambda q: (
-                        sum(
-                            interaction[q][m]["weight"]
-                            for m in cluster
-                            if interaction.has_edge(q, m)
-                        ),
-                        -q,
-                    ),
-                )
-                best_weight = sum(
-                    interaction[best][m]["weight"]
-                    for m in cluster
-                    if interaction.has_edge(best, m)
-                )
-                if best_weight <= 0.0:
+                best = max(unassigned, key=lambda q: (to_cluster[q], -q))
+                if to_cluster[best] <= 0:
                     # No remaining qubit interacts with this cluster; start a
                     # fresh cluster in the next trap instead of padding.
                     break
                 cluster.append(best)
                 unassigned.discard(best)
+                for other, weight in neighbours[best].items():
+                    to_cluster[other] += weight
             for qubit in cluster:
                 state.place(qubit, trap.trap_id)
         if unassigned:

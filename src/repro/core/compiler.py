@@ -45,6 +45,20 @@ class SSyncConfig:
     mapping_reserve_per_trap: int = 1
     mapping_lookahead_layers: int = 8
 
+    def __post_init__(self) -> None:
+        # Manifests build configs from untyped JSON: reject ill-typed
+        # values here, as a SchedulingError, before any compile reads them.
+        if not isinstance(self.default_mapping, str):
+            raise SchedulingError(
+                f"default_mapping must be a str, not {type(self.default_mapping).__name__}"
+            )
+        for name, minimum in (("mapping_reserve_per_trap", 0), ("mapping_lookahead_layers", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SchedulingError(f"{name} must be an int, not {type(value).__name__}")
+            if value < minimum:
+                raise SchedulingError(f"{name} must be at least {minimum}, not {value}")
+
     def with_weight_ratio(self, ratio: float) -> "SSyncConfig":
         """Return a config whose shuttle/inner weight ratio is ``ratio`` (Fig. 14)."""
         new_weights = self.scheduler.weights.with_ratio(ratio)

@@ -42,13 +42,7 @@ from repro.core.state import DeviceState
 from repro.exceptions import SchedulingError
 from repro.hardware.device import QCCDDevice
 from repro.hardware.graph import GraphWeights
-from repro.schedule.operations import (
-    KIND_CODE_GATE_1Q,
-    KIND_CODE_GATE_2Q,
-    GateOperation,
-    ShuttleOperation,
-    SwapOperation,
-)
+from repro.schedule.operations import KIND_CODE_GATE_1Q, KIND_CODE_GATE_2Q, GateOperation
 from repro.schedule.schedule import Schedule
 
 #: The selectable scheduler cores, fastest first.  Both produce
@@ -170,10 +164,6 @@ class GenericSwapScheduler:
             caches = FlatRun(state, self.device, self.rules, self.cost)
             generate_candidates = caches.generator.candidates_for_gates
             flat_mirror = caches.flat
-            # Single-pass materialisation: the flat backend appends plain
-            # scalars into the schedule's columnar slab — no per-op
-            # record objects exist between the scorer and the encoder.
-            schedule.use_slab()
 
             def execute_ready(ready: "list[tuple[int, Gate]] | None" = None) -> bool:
                 return self._execute_ready_gates_flat(
@@ -309,7 +299,7 @@ class GenericSwapScheduler:
         locations = state.locations
         positions = state.positions
         chains = state.chains
-        append = schedule.appender()
+        append = schedule.append
         pop_pending = pending_1q.pop
         make_gate_op = GateOperation
         executed = 0
@@ -411,7 +401,7 @@ class GenericSwapScheduler:
         qtrap = flat.qubit_trap
         qpos = flat.qubit_pos
         length = flat.length
-        append_gate = schedule.use_slab().append_gate
+        append_gate = schedule.slab.append_gate
         pop_pending = pending_1q.pop
         code_1q = KIND_CODE_GATE_1Q
         code_2q = KIND_CODE_GATE_2Q
@@ -479,12 +469,8 @@ class GenericSwapScheduler:
 
     def _emit_single_qubit_gate(self, schedule: Schedule, state: DeviceState, gate: Gate) -> None:
         trap = state.locations[gate.qubits[0]]
-        chain_length = max(state.chain_length(trap), 1)
-        slab = schedule.slab
-        if slab is not None:
-            slab.append_gate(KIND_CODE_GATE_1Q, gate, trap, chain_length, 0)
-        else:
-            schedule.append(GateOperation(gate, trap, chain_length))
+        chain_length = max(len(state.chains[trap]), 1)
+        schedule.slab.append_gate(KIND_CODE_GATE_1Q, gate, trap, chain_length, 0)
 
     # ------------------------------------------------------------------
     # candidate selection and application
@@ -547,10 +533,6 @@ class GenericSwapScheduler:
     ) -> None:
         locations = state.locations
         chains = state.chains
-        # In slab mode (the flat backend) the applied move is emitted as
-        # plain scalars into the columnar slab; the naive reference
-        # constructs the record objects.  Field values are computed
-        # identically either way.
         slab = schedule.slab
         if candidate.kind is GenericSwapKind.SWAP_GATE:
             assert candidate.qubit_b is not None
@@ -559,24 +541,13 @@ class GenericSwapScheduler:
             separation = positions[candidate.qubit_a] - positions[candidate.qubit_b]
             if separation < 0:
                 separation = -separation
-            if slab is not None:
-                slab.append_swap(
-                    trap,
-                    candidate.qubit_a,
-                    candidate.qubit_b,
-                    len(chains[trap]),
-                    separation - 1 if separation > 1 else 0,
-                )
-            else:
-                schedule.append(
-                    SwapOperation(
-                        trap=trap,
-                        qubit_a=candidate.qubit_a,
-                        qubit_b=candidate.qubit_b,
-                        chain_length=len(chains[trap]),
-                        ion_separation=separation - 1 if separation > 1 else 0,
-                    )
-                )
+            slab.append_swap(
+                trap,
+                candidate.qubit_a,
+                candidate.qubit_b,
+                len(chains[trap]),
+                separation - 1 if separation > 1 else 0,
+            )
             state.unchecked_swap(candidate.qubit_a, candidate.qubit_b)
         else:
             assert candidate.target_trap is not None
@@ -586,28 +557,15 @@ class GenericSwapScheduler:
             # The checked shuttle validates end position and capacity; a
             # selected candidate was generated legal against this state.
             state.unchecked_shuttle(candidate.qubit_a, source_trap, candidate.target_trap)
-            if slab is not None:
-                slab.append_shuttle(
-                    candidate.qubit_a,
-                    source_trap,
-                    candidate.target_trap,
-                    connection.segments,
-                    connection.junctions,
-                    source_before,
-                    len(chains[candidate.target_trap]),
-                )
-            else:
-                schedule.append(
-                    ShuttleOperation(
-                        qubit=candidate.qubit_a,
-                        source_trap=source_trap,
-                        target_trap=candidate.target_trap,
-                        segments=connection.segments,
-                        junctions=connection.junctions,
-                        source_chain_length=source_before,
-                        target_chain_length=len(chains[candidate.target_trap]),
-                    )
-                )
+            slab.append_shuttle(
+                candidate.qubit_a,
+                source_trap,
+                candidate.target_trap,
+                connection.segments,
+                connection.junctions,
+                source_before,
+                len(chains[candidate.target_trap]),
+            )
         if caches is not None:
             caches.notify_applied(candidate)
 

@@ -270,7 +270,7 @@ def _check_kind_codes(
     scenario: Scenario, label: str, schedule: Schedule, checks: list[str]
 ) -> None:
     """Each gate's kind code is ``GATE_2Q`` exactly when it is a 2q gate."""
-    slab = schedule.to_slab()
+    slab = schedule.slab
     codes = [code for code in slab.kinds if code <= KIND_CODE_GATE_2Q]
     if len(codes) != len(slab.gates):
         raise OracleFailure(

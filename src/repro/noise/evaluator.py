@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.exceptions import NoiseModelError, SchedulingError
+from repro.exceptions import NoiseModelError
 from repro.noise.fidelity import (
     SWAP_TWO_QUBIT_GATE_COUNT,
     FidelityModel,
@@ -114,25 +114,21 @@ class ScheduleEvaluator:
         """Walk ``schedule`` and return timing and success-rate estimates.
 
         The walk reads the schedule's :class:`OperationSlab` columns
-        directly (a record-backed schedule is columnarised first), so no
-        per-operation record object is built, and it tells one- from
-        two-qubit gates by kind code, so a decoded schedule builds no
-        :class:`~repro.circuit.gate.Gate` either (every producer sets
-        ``GATE_2Q`` exactly when ``gate.is_two_qubit``; the fuzz oracle
-        checks this).  Gate durations are
-        memoised per (chain length, ion separation), amplitude factors
-        per chain length and shuttle durations per (segments,
-        junctions), all within this call.  The arithmetic is the Eq.-(4)
+        directly, so no per-operation record object is built, and it
+        tells one- from two-qubit gates by kind code, so a decoded
+        schedule builds no :class:`~repro.circuit.gate.Gate` either
+        (every producer sets ``GATE_2Q`` exactly when
+        ``gate.is_two_qubit``; the fuzz oracle checks this).  Gate
+        durations are memoised per (chain length, ion separation),
+        amplitude factors per chain length and shuttle durations per
+        (segments, junctions), all within this call.  The arithmetic is the Eq.-(4)
         arithmetic of :class:`FidelityModel` term for term, traps get
         their thermal state in the same first-touch order as in
         :class:`ThermalLedger`, and the log fidelities are summed in
         schedule order, so the result is bit-identical to walking the
         record objects one by one (:meth:`_evaluate_records`).
         """
-        try:
-            slab = schedule.to_slab()
-        except SchedulingError as exc:  # a record type the slab cannot hold
-            raise NoiseModelError(str(exc)) from exc
+        slab = schedule.slab
         config = self.config
         heating = config.heating
         implementation = self._implementation
@@ -308,11 +304,9 @@ class ScheduleEvaluator:
             elif isinstance(operation, ShuttleOperation):
                 duration = self._apply_shuttle(operation, clocks, thermal)
                 total_shuttle_time += duration
-            elif isinstance(operation, SpaceShiftOperation):
+            else:  # a slab holds only the four record kinds
                 duration = self._apply_space_shift(operation, clocks, thermal)
                 total_shuttle_time += duration
-            else:  # pragma: no cover - defensive
-                raise NoiseModelError(f"unknown operation type {type(operation).__name__}")
 
         execution_time = max(clocks.values(), default=0.0)
         return EvaluationResult(

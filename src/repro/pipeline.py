@@ -36,7 +36,7 @@ from repro.core.mapping import InitialMapper
 from repro.core.result import CompilationResult, PassTiming
 from repro.core.scheduler import SCHEDULER_BACKENDS, SchedulerStatistics
 from repro.core.state import DeviceState
-from repro.exceptions import SchedulingError
+from repro.exceptions import CircuitError, SchedulingError
 from repro.hardware.device import QCCDDevice
 from repro.schedule.schedule import Schedule
 from repro.schedule.verify import verify_schedule
@@ -65,6 +65,10 @@ class PassContext:
     final_state: DeviceState | None = None
     statistics: SchedulerStatistics = field(default_factory=SchedulerStatistics)
     metadata: dict[str, Any] = field(default_factory=dict)
+    #: Two-qubit gates in ``circuit``: :meth:`CompilerPipeline.compile`
+    #: counts them while checking every gate's width, and the metrics
+    #: pass checks the schedule against the count.
+    two_qubit_gates: int = 0
 
     def require_state(self) -> DeviceState:
         """The working placement (raises if no mapping pass ran yet)."""
@@ -223,7 +227,7 @@ class MetricsPass(Pass):
 
     def run(self, context: PassContext) -> None:
         schedule = context.require_schedule()
-        schedule.validate_against(context.circuit.num_two_qubit_gates)
+        schedule.validate_against(context.two_qubit_gates)
         context.metadata["metrics"] = {
             "operations": len(schedule),
             "shuttles": schedule.shuttle_count,
@@ -238,6 +242,25 @@ class MetricsPass(Pass):
 # ----------------------------------------------------------------------
 # the pipeline
 # ----------------------------------------------------------------------
+def _count_two_qubit_gates(circuit: QuantumCircuit) -> int:
+    """The circuit's two-qubit gate count; rejects gates on three or more qubits.
+
+    Every router executes one- and two-qubit gates only, so a wider gate
+    (an undecomposed ``ccx``, say) would drop out of the schedule without
+    a trace.
+    """
+    count = 0
+    for index, gate in enumerate(circuit):
+        if gate.is_two_qubit:
+            count += 1
+        elif not gate.is_single_qubit:
+            raise CircuitError(
+                f"gate #{index} ({gate}) acts on {len(gate.qubits)} qubits; the compilers "
+                "route one- and two-qubit gates only, so decompose it first"
+            )
+    return count
+
+
 class CompilerPipeline:
     """An ordered list of passes that compiles circuits on one device.
 
@@ -313,6 +336,7 @@ class CompilerPipeline:
             circuit=circuit,
             device=self.device,
             compiler_name=self.name,
+            two_qubit_gates=_count_two_qubit_gates(circuit),
             requested_mapping=initial_mapping,
         )
         if initial_state is not None:

@@ -40,9 +40,11 @@ from typing import Any, Mapping, Sequence
 
 from repro.circuit.qasm import qasm_to_circuit
 from repro.core.compiler import SSyncConfig
+from repro.core.mapping import get_mapper
 from repro.core.scheduler import SchedulerConfig
 from repro.exceptions import ManifestError, ReproError
 from repro.hardware.presets import paper_device
+from repro.noise.gate_times import GateImplementation
 from repro.noise.heating import HeatingParameters
 from repro.registry import compiler_spec, normalize_compiler_name
 from repro.runtime.jobs import CompileJob
@@ -135,6 +137,26 @@ def _resolve_circuit_spec(spec: Any) -> Any:
     return spec
 
 
+def _check_mapping_name(name: Any, key: str) -> None:
+    """Resolve a mapping name now, so a typo fails the manifest, not the job."""
+    if not isinstance(name, str):
+        raise ManifestError(f"{key} must be a string, not {type(name).__name__}")
+    try:
+        get_mapper(name)
+    except ReproError as exc:
+        raise ManifestError(f"{key}: {exc}") from exc
+
+
+def _check_gate_implementation(name: Any) -> None:
+    """Resolve a gate implementation now (the service hashes it into job ids)."""
+    if not isinstance(name, str):
+        raise ManifestError(f"gate_implementation must be a string, not {type(name).__name__}")
+    try:
+        GateImplementation.from_name(name)
+    except ReproError as exc:
+        raise ManifestError(str(exc)) from exc
+
+
 def _normalize_mapping_key(spec: Mapping[str, Any]) -> dict[str, Any]:
     """Fold the ``mapping`` alias into ``initial_mapping`` before merging.
 
@@ -164,6 +186,7 @@ def job_from_dict(
     config = merged.get("config")
     if isinstance(config, Mapping):
         config = ssync_config_from_dict(config)
+        _check_mapping_name(config.default_mapping, "default_mapping")
     heating = merged.get("heating")
     if isinstance(heating, Mapping):
         try:
@@ -191,6 +214,10 @@ def job_from_dict(
         # A defaults-level mapping is meant for the jobs whose compiler
         # has pluggable mappings; fixed-mapping compilers just skip it.
         mapping = None
+    if mapping is not None:
+        _check_mapping_name(mapping, "mapping")
+    gate_implementation = merged.get("gate_implementation", "fm")
+    _check_gate_implementation(gate_implementation)
     return CompileJob(
         circuit=_resolve_circuit_spec(merged["circuit"]),
         device=merged["device"],
@@ -198,7 +225,7 @@ def job_from_dict(
         compiler=compiler,
         initial_mapping=mapping,
         config=config,
-        gate_implementation=merged.get("gate_implementation", "fm"),
+        gate_implementation=gate_implementation,
         heating=heating,
         label=str(merged.get("label", "")),
         parameter=str(merged.get("parameter", "")),

@@ -6,12 +6,14 @@ separation, path length) at the moment the operation fires, so the
 schedule can be re-evaluated under different gate implementations or
 heating parameters without recompiling.
 
-The records are plain ``__slots__`` classes with hand-written
-constructors rather than frozen dataclasses: the scheduler creates one
-per emitted operation (thousands per compile), and the dataclass
-machinery dominated the emission path.  They keep value semantics —
-field-wise ``__eq__``/``__hash__`` and a dataclass-style ``repr`` — and
-are immutable by convention (never mutate a record after creation).
+A schedule stores its log as the columns of an :class:`OperationSlab`
+(below), and the records are built from those columns on demand, one
+per operation (thousands per schedule).  They are plain ``__slots__``
+classes with hand-written constructors rather than frozen dataclasses,
+because the dataclass machinery dominated that path.  They keep value
+semantics — field-wise ``__eq__``/``__hash__`` and a dataclass-style
+``repr`` — and are immutable by convention (never mutate a record after
+creation).
 """
 
 from __future__ import annotations
@@ -115,11 +117,11 @@ class GateOperation(ScheduledOperation):
     def unchecked(
         cls, kind: OperationKind, gate: Gate, trap: int, chain_length: int, ion_separation: int
     ) -> "GateOperation":
-        """Construct without field validation (scheduler hot-path emitter).
+        """Construct without field validation (the slab's materialiser).
 
         The caller asserts the invariants ``__init__`` would check and
-        passes the operation kind directly — the scheduler knows
-        statically whether it is emitting a 1q or a 2q gate.
+        passes the operation kind directly — a slab knows it from the
+        gate's kind code.
         """
         self = object.__new__(cls)
         self.kind = kind
@@ -158,7 +160,7 @@ class SwapOperation(ScheduledOperation):
     def unchecked(
         cls, trap: int, qubit_a: int, qubit_b: int, chain_length: int, ion_separation: int
     ) -> "SwapOperation":
-        """Construct without field validation (trusted bulk producers)."""
+        """Construct without field validation (the slab's materialiser)."""
         self = object.__new__(cls)
         self.kind = OperationKind.SWAP
         self.trap = trap
@@ -239,7 +241,7 @@ class ShuttleOperation(ScheduledOperation):
         source_chain_length: int,
         target_chain_length: int,
     ) -> "ShuttleOperation":
-        """Construct without field validation (trusted bulk producers)."""
+        """Construct without field validation (the slab's materialiser)."""
         self = object.__new__(cls)
         self.kind = OperationKind.SHUTTLE
         self.qubit = qubit
@@ -288,7 +290,7 @@ class SpaceShiftOperation(ScheduledOperation):
     def unchecked(
         cls, trap: int, qubit: int, from_position: int, to_position: int
     ) -> "SpaceShiftOperation":
-        """Construct without field validation (trusted bulk producers)."""
+        """Construct without field validation (the slab's materialiser)."""
         self = object.__new__(cls)
         self.kind = OperationKind.SPACE_SHIFT
         self.trap = trap
@@ -371,22 +373,22 @@ class GateOperands(NamedTuple):
 class OperationSlab:
     """Columnar storage for an operation log: one array per field.
 
-    The slab is the single-pass materialisation target of the flat
-    scheduler backend and the direct input/output of the binary schedule
-    codec: the winning-candidate path appends plain integers into these
-    arrays, and the encoder serialises the arrays wholesale — no
+    The slab is every :class:`~repro.schedule.schedule.Schedule`'s only
+    storage and the direct input/output of the binary schedule codec:
+    the schedulers and the baseline routers append plain integers into
+    these arrays, and the encoder serialises the arrays wholesale — no
     per-operation record objects exist on that path at all.  ``kinds``
     holds one :data:`KIND_CODE_* <KIND_CODE_GATE_1Q>` byte per operation
     in schedule order; each kind's fields live in dedicated typed arrays
     appended in the same order, so walking ``kinds`` with per-kind
     cursors reconstructs the interleaved log exactly.
 
-    :meth:`materialize` builds the classic :class:`ScheduledOperation`
+    :meth:`materialize` builds the :class:`ScheduledOperation` record
     objects on demand (through the validation-free constructors — slab
-    producers assert the invariants), which is what keeps slab-backed
-    and object-backed schedules field-for-field identical.
+    producers assert the invariants), field for field as
+    :meth:`append_operation` took them apart.
 
-    A slab emitted by a scheduler holds its program gates as a
+    A slab emitted by a compiler holds its program gates as a
     :class:`Gate` list in ``gates``.  A decoded slab
     (:meth:`from_gate_operands`) holds them as :class:`GateOperands`
     columns in ``gate_operands`` instead and leaves the ``gates`` slot
@@ -483,7 +485,7 @@ class OperationSlab:
         return operands if operands is not None else GateOperands.from_gates(self.gates)
 
     # ------------------------------------------------------------------
-    # typed appends (the scheduler hot path)
+    # typed appends (the compilers' hot path)
     # ------------------------------------------------------------------
     def append_gate(
         self, code: int, gate: Gate, trap: int, chain_length: int, ion_separation: int
@@ -580,14 +582,6 @@ class OperationSlab:
             raise SchedulingError(
                 f"cannot store operation type {type(operation).__name__} in a slab"
             )
-
-    @classmethod
-    def from_operations(cls, operations: "list[ScheduledOperation] | tuple") -> "OperationSlab":
-        """Columnarise an existing operation log."""
-        slab = cls()
-        for operation in operations:
-            slab.append_operation(operation)
-        return slab
 
     def materialize(self) -> "list[ScheduledOperation]":
         """Rebuild the interleaved record-object log from the columns."""

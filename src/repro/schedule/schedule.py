@@ -27,122 +27,54 @@ from repro.schedule.operations import (
 class Schedule:
     """Ordered log of scheduled operations for one compiled circuit.
 
-    The log has two storage modes.  The classic mode keeps a list of
-    :class:`ScheduledOperation` records.  **Slab mode** (entered through
-    :meth:`use_slab` or :meth:`from_slab`) keeps an
-    :class:`~repro.schedule.operations.OperationSlab` of columnar arrays
-    instead — the flat scheduler backend appends plain integers into the
-    slab and the binary codec serialises it wholesale, so no per-op
-    record objects exist until somebody iterates the schedule.  Record
-    objects are then materialised lazily and cached; the two modes are
-    observationally identical.
+    The log is stored only as an
+    :class:`~repro.schedule.operations.OperationSlab` of columnar arrays:
+    every compiler appends plain integers into :attr:`slab`, and the
+    binary codec serialises it wholesale, so no per-operation record
+    object exists until somebody iterates the schedule.  The
+    :class:`ScheduledOperation` records are then materialised from the
+    columns and cached.  :meth:`append` takes a record and decomposes it
+    into the columns (the JSON decoder and the naive scheduler core
+    build records).
     """
 
-    __slots__ = ("device", "circuit_name", "_operations", "_cached_counts", "_slab")
+    __slots__ = ("device", "circuit_name", "slab", "_records")
 
-    def __init__(self, device: QCCDDevice, circuit_name: str = "circuit") -> None:
+    def __init__(
+        self,
+        device: QCCDDevice,
+        circuit_name: str = "circuit",
+        slab: OperationSlab | None = None,
+    ) -> None:
         self.device = device
         self.circuit_name = circuit_name
-        self._operations: list[ScheduledOperation] = []
-        self._cached_counts: "Counter[OperationKind] | None" = None
-        self._slab: OperationSlab | None = None
-
-    # ------------------------------------------------------------------
-    # slab mode
-    # ------------------------------------------------------------------
-    def use_slab(self) -> OperationSlab:
-        """Switch an empty schedule to columnar storage; returns the slab.
-
-        The flat scheduler backend calls this once per compile and then
-        appends scalars straight into the returned slab.
-        """
-        if self._slab is None:
-            if self._operations:
-                raise SchedulingError("cannot attach a slab to a non-empty schedule")
-            self._slab = OperationSlab()
-        return self._slab
-
-    @classmethod
-    def from_slab(
-        cls, device: QCCDDevice, circuit_name: str, slab: OperationSlab
-    ) -> "Schedule":
-        """Wrap an existing slab (the binary decoder's constructor)."""
-        schedule = cls(device, circuit_name)
-        schedule._slab = slab
-        return schedule
-
-    @property
-    def slab(self) -> OperationSlab | None:
-        """The columnar backing store, or ``None`` in classic mode."""
-        return self._slab
-
-    def to_slab(self) -> OperationSlab:
-        """This schedule's columns — built on the fly in classic mode."""
-        if self._slab is not None:
-            return self._slab
-        return OperationSlab.from_operations(self._operations)
+        #: The columnar operation log: producers append into it directly,
+        #: and the binary decoder passes in the slab it filled.
+        self.slab = OperationSlab() if slab is None else slab
+        self._records: list[ScheduledOperation] = []
 
     def _materialized(self) -> list[ScheduledOperation]:
-        """The record-object log (lazily rebuilt from the slab)."""
-        slab = self._slab
-        if slab is None:
-            return self._operations
-        ops = self._operations
-        if len(ops) != len(slab):
-            ops = slab.materialize()
-            self._operations = ops
-        return ops
+        """The record-object log, rebuilt from the slab after appends."""
+        records = self._records
+        if len(records) != len(self.slab):
+            records = self._records = self.slab.materialize()
+        return records
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def append(self, operation: ScheduledOperation) -> None:
-        """Append one operation to the log."""
-        if not isinstance(operation, ScheduledOperation):
-            raise SchedulingError(f"expected a ScheduledOperation, got {type(operation).__name__}")
-        if self._slab is not None:
-            self._slab.append_operation(operation)
-        else:
-            self._operations.append(operation)
-        self._cached_counts = None
+        """Append one operation record to the log.
 
-    @property
-    def _counts(self) -> "Counter[OperationKind]":
-        """Per-kind operation counts, recounted lazily after appends.
-
-        The compiler reads the counters once per compile but appends
-        thousands of operations, so the count is not maintained per
-        append.  Slab mode recounts from the kinds column on every read
-        (a C-speed byte count, and immune to appends that bypass this
-        object by writing into the slab directly).
+        Raises :class:`SchedulingError` for anything that is not one of
+        the four record kinds the slab stores.
         """
-        if self._slab is not None:
-            return self._slab.counts()
-        counts = self._cached_counts
-        if counts is None:
-            counts = Counter(op.kind for op in self._operations)
-            self._cached_counts = counts
-        return counts
+        self.slab.append_operation(operation)
 
     def extend(self, operations: Iterator[ScheduledOperation] | list[ScheduledOperation]) -> None:
         """Append several operations in order."""
         for operation in operations:
             self.append(operation)
-
-    def appender(self):
-        """A bound fast-append for trusted bulk producers (the scheduler).
-
-        Skips the per-call type check and count invalidation — the
-        caller promises to append only :class:`ScheduledOperation`
-        instances.  Counts are invalidated once here, which stays
-        correct for every later append through the returned bound
-        method.  In slab mode the returned callable decomposes each
-        record into the columns instead.
-        """
-        self._cached_counts = None
-        if self._slab is not None:
-            return self._slab.append_operation
-        return self._operations.append
 
     # ------------------------------------------------------------------
     # access
@@ -153,9 +85,7 @@ class Schedule:
         return tuple(self._materialized())
 
     def __len__(self) -> int:
-        if self._slab is not None:
-            return len(self._slab)
-        return len(self._operations)
+        return len(self.slab)
 
     def __iter__(self) -> Iterator[ScheduledOperation]:
         return iter(self._materialized())
@@ -170,6 +100,15 @@ class Schedule:
     # ------------------------------------------------------------------
     # summary counters (the paper's primary metrics)
     # ------------------------------------------------------------------
+    @property
+    def _counts(self) -> "Counter[OperationKind]":
+        """Per-kind operation counts, recounted off the kinds column.
+
+        A C-speed byte count per kind, so it is not cached (and is immune
+        to appends that write into the slab directly).
+        """
+        return self.slab.counts()
+
     @property
     def shuttle_count(self) -> int:
         """Number of inter-trap shuttles (the Fig. 8 metric)."""
@@ -198,20 +137,12 @@ class Schedule:
     @property
     def junction_crossings(self) -> int:
         """Total junctions crossed by all shuttles."""
-        if self._slab is not None:
-            return self._slab.junction_total()
-        return sum(
-            op.junctions for op in self._operations if isinstance(op, ShuttleOperation)
-        )
+        return self.slab.junction_total()
 
     @property
     def shuttle_segments(self) -> int:
         """Total straight segments traversed by all shuttles."""
-        if self._slab is not None:
-            return self._slab.segment_total()
-        return sum(
-            op.segments for op in self._operations if isinstance(op, ShuttleOperation)
-        )
+        return self.slab.segment_total()
 
     def count_summary(self) -> dict[str, int]:
         """All counters as a plain dictionary (for reporting)."""

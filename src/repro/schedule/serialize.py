@@ -314,15 +314,13 @@ def _read_column(buf: bytes, pos: int, typecode: str, count: int) -> "tuple[arra
 def schedule_to_bytes(schedule: Schedule) -> bytes:
     """Encode a schedule (device + operation log) to the binary format.
 
-    Slab-backed schedules (the flat backend's output, or anything
-    decoded by :func:`schedule_from_bytes`) are encoded straight off
-    their columns — a decoded slab whose gates were never read writes
-    its operand columns back verbatim; classic schedules are
-    columnarised on the fly.  The encoding is deterministic: the same
-    schedule always produces the same bytes (the gate-name table is
-    interned in first-appearance order).
+    The schedule is encoded straight off its slab columns — a decoded
+    slab whose gates were never read writes its operand columns back
+    verbatim.  The encoding is deterministic: the same schedule always
+    produces the same bytes (the gate-name table is interned in
+    first-appearance order).
     """
-    slab = schedule.to_slab()
+    slab = schedule.slab
     out = bytearray(SCHEDULE_MAGIC)
     out.append(SCHEDULE_BINARY_VERSION)
     _write_str(out, schedule.circuit_name)
@@ -487,4 +485,4 @@ def schedule_from_bytes(data: bytes) -> Schedule:
     slab.shift_to_positions, pos = _read_column(data, pos, "i", n_shifts)
     if pos != len(data):
         raise ReproError("binary schedule document has trailing bytes after its last column")
-    return Schedule.from_slab(device, circuit_name, slab)
+    return Schedule(device, circuit_name, slab)

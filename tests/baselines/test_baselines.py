@@ -9,7 +9,17 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.library import bernstein_vazirani_circuit, ghz_circuit, qft_circuit
 from repro.exceptions import MappingError
 from repro.hardware.topologies import grid_device, linear_device, star_device
+from repro.noise.evaluator import ScheduleEvaluator
+from repro.runtime.cache import CachedCompilation
+from repro.schedule.operations import (
+    GateOperation,
+    ShuttleOperation,
+    SpaceShiftOperation,
+    SwapOperation,
+)
 from repro.schedule.verify import verify_schedule
+
+RECORD_TYPES = (GateOperation, SwapOperation, ShuttleOperation, SpaceShiftOperation)
 
 
 class TestRegistry:
@@ -125,3 +135,27 @@ class TestRelativeBehaviour:
         circuit.cx(0, 9)
         result = DaiCompiler(device).compile(circuit)
         assert result.shuttle_count <= 2
+
+
+@pytest.mark.parametrize("compiler_cls", [MuraliCompiler, DaiCompiler], ids=["murali", "dai"])
+def test_compile_encode_and_evaluate_build_no_record(compiler_cls, monkeypatch):
+    """The baselines emit plain scalars into the slab: no record object exists
+    between the router, the cache-entry encoder and the evaluator."""
+    device = grid_device(2, 2, 5)
+    circuit = qft_circuit(12)
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a ScheduledOperation was constructed")
+
+    for record_type in RECORD_TYPES:
+        monkeypatch.setattr(record_type, "__init__", no_record)
+        monkeypatch.setattr(record_type, "unchecked", no_record)
+    result = compiler_cls(device).compile(circuit)
+    blob = CachedCompilation.from_result(result).to_bytes()
+    evaluation = ScheduleEvaluator().evaluate(result.schedule)
+    assert result.schedule._records == []
+    monkeypatch.undo()
+
+    assert result.swap_count > 0 and result.shuttle_count > 0
+    assert CachedCompilation.from_bytes(blob).schedule().operations == result.schedule.operations
+    assert repr(evaluation) == repr(ScheduleEvaluator()._evaluate_records(result.schedule))

@@ -13,6 +13,7 @@ floor.  Invalid inputs must raise the same :class:`NoiseModelError`.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.circuit.gate import Gate
-from repro.exceptions import NoiseModelError
+from repro.exceptions import NoiseModelError, SchedulingError
 from repro.fuzz import load_scenario
 from repro.hardware.topologies import linear_device
 from repro.noise.evaluator import EvaluatorConfig, ScheduleEvaluator
@@ -82,8 +83,8 @@ def _assert_parity(schedules: list[Schedule], implementation: str) -> int:
 
 @pytest.fixture(scope="module")
 def corpus_schedules() -> list[Schedule]:
-    """S-SYNC (slab-backed, plus a decoded copy) and baseline (record-backed)
-    schedules of every corpus scenario."""
+    """S-SYNC and baseline schedules of every corpus scenario, plus a
+    decoded copy of the S-SYNC one."""
     schedules = []
     for path in CORPUS:
         scenario = load_scenario(path)
@@ -109,8 +110,7 @@ def paper_sweep_schedules() -> list[Schedule]:
 
 @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
 def test_corpus_parity(corpus_schedules, implementation):
-    assert any(schedule.slab is None for schedule in corpus_schedules)
-    assert any(schedule.slab is not None for schedule in corpus_schedules)
+    assert len(corpus_schedules) == 4 * len(CORPUS)
     assert _assert_parity(corpus_schedules, implementation) == 8 * len(corpus_schedules)
 
 
@@ -118,6 +118,25 @@ def test_corpus_parity(corpus_schedules, implementation):
 def test_paper_sweep_parity(paper_sweep_schedules, implementation):
     assert len(paper_sweep_schedules) == 75
     assert _assert_parity(paper_sweep_schedules, implementation) == 8 * 75
+
+
+#: SHA-256 over the binary encodings of the 50 Murali/Dai ``paper-sweep``
+#: schedules in fixture order, pinned while the baselines still built one
+#: record object per operation: emitting into the slab changes no byte.
+BASELINE_SCHEDULES_SHA256 = "2de25431c1087a2c0e7ebd04f17678f352d03828f95b555bca89747a4e620a5b"
+
+
+def test_baseline_schedules_match_the_golden_digest(paper_sweep_schedules):
+    baselines = [
+        schedule
+        for index, schedule in enumerate(paper_sweep_schedules)
+        if PAPER_SWEEP_COMPILERS[index % len(PAPER_SWEEP_COMPILERS)] != "s-sync"
+    ]
+    assert len(baselines) == 50
+    digest = hashlib.sha256()
+    for schedule in baselines:
+        digest.update(schedule_to_bytes(schedule))
+    assert digest.hexdigest() == BASELINE_SCHEDULES_SHA256
 
 
 def test_extreme_heating_hits_the_floor_and_zeroes_the_success_rate(paper_sweep_schedules):
@@ -144,7 +163,7 @@ def _raises_alike(schedule: Schedule, config: EvaluatorConfig) -> None:
 def _slab_schedule(fill) -> Schedule:
     slab = OperationSlab()
     fill(slab)
-    return Schedule.from_slab(linear_device(2, 6), "crafted", slab)
+    return Schedule(linear_device(2, 6), "crafted", slab)
 
 
 class TestInvalidInputs:
@@ -180,14 +199,16 @@ class TestInvalidInputs:
 
         schedule = Schedule(linear_device(2, 6), "foreign")
         schedule.append(GateOperation(Gate("cx", (0, 1)), trap=0, chain_length=4))
-        schedule.appender()(Foreign())
-        with pytest.raises(NoiseModelError):
-            ScheduleEvaluator().evaluate(schedule)
-        with pytest.raises(NoiseModelError):
-            ScheduleEvaluator()._evaluate_records(schedule)
+        # A schedule stores only the four record kinds, so a foreign record
+        # is refused on append and never reaches either evaluator walk.
+        with pytest.raises(SchedulingError, match="Foreign"):
+            schedule.append(Foreign())
+        assert len(schedule) == 1
+        evaluator = ScheduleEvaluator()
+        assert repr(evaluator.evaluate(schedule)) == repr(evaluator._evaluate_records(schedule))
 
 
 def test_evaluate_builds_no_record_objects(paper_sweep_schedules):
     schedule = schedule_from_bytes(schedule_to_bytes(paper_sweep_schedules[-1]))
     ScheduleEvaluator().evaluate(schedule)
-    assert schedule._operations == []
+    assert schedule._records == []

@@ -213,10 +213,28 @@ class TestTypedManifestErrors:
             ({"backend": 3}, "unknown scheduler backend"),
             ({"backend": "incremental"}, "unknown scheduler backend"),
             ({"incremental": True}, "unknown S-SYNC config key"),
+            ({"default_mapping": 3}, "default_mapping must be a str"),
+            ({"mapping_reserve_per_trap": "x"}, "mapping_reserve_per_trap must be an int"),
+            ({"mapping_lookahead_layers": -5}, "mapping_lookahead_layers must be at least 1"),
+            ({"default_mapping": "bogus"}, "unknown initial mapping 'bogus'"),
         ],
     )
     def test_ill_typed_scheduler_config(self, config, message):
         document = {"jobs": [{"circuit": "qft_8", "device": "G-2x2", "config": config}]}
+        with pytest.raises(ManifestError, match=message):
+            jobs_from_manifest_text(json.dumps(document))
+
+    @pytest.mark.parametrize(
+        ("keys", "message"),
+        [
+            ({"mapping": "bogus"}, "unknown initial mapping 'bogus'"),
+            ({"initial_mapping": 3}, "mapping must be a string"),
+            ({"gate_implementation": "bogus"}, "unknown gate implementation 'bogus'"),
+            ({"gate_implementation": 3}, "gate_implementation must be a string"),
+        ],
+    )
+    def test_ill_typed_job_keys(self, keys, message):
+        document = {"jobs": [{"circuit": "qft_8", "device": "G-2x2", **keys}]}
         with pytest.raises(ManifestError, match=message):
             jobs_from_manifest_text(json.dumps(document))
 

@@ -367,7 +367,7 @@ class TestLazyGates:
         columns.
         """
         blob = schedule_to_bytes(every_kind_schedule())
-        expected = every_kind_schedule().to_slab().gates
+        expected = every_kind_schedule().slab.gates
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

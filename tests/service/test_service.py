@@ -258,12 +258,32 @@ class TestErrorPaths:
             ({"lookahead_weight": "abc"}, "lookahead_weight must be a number"),
             ({"decay_delta": "x"}, "decay_delta must be a number"),
             ({"incremental": True}, "unknown S-SYNC config key"),
+            ({"default_mapping": 3}, "default_mapping must be a str"),
+            ({"mapping_reserve_per_trap": "x"}, "mapping_reserve_per_trap must be an int"),
+            ({"mapping_lookahead_layers": -5}, "mapping_lookahead_layers must be at least 1"),
+            ({"default_mapping": "bogus"}, "unknown initial mapping 'bogus'"),
         ],
     )
     def test_ill_typed_scheduler_config_is_400(self, service_stack, config, message):
         _, client = service_stack
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"jobs": [{"circuit": "qft_8", "device": "G-2x2", "config": config}]})
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"]["type"] == "manifest_error"
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        ("keys", "message"),
+        [
+            ({"mapping": "bogus"}, "unknown initial mapping 'bogus'"),
+            ({"gate_implementation": "bogus"}, "unknown gate implementation 'bogus'"),
+            ({"gate_implementation": 3}, "gate_implementation must be a string"),
+        ],
+    )
+    def test_ill_typed_job_keys_are_400(self, service_stack, keys, message):
+        _, client = service_stack
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"jobs": [{"circuit": "qft_8", "device": "G-2x2", **keys}]})
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error"]["type"] == "manifest_error"
         assert message in str(excinfo.value)

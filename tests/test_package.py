@@ -58,3 +58,18 @@ class TestExceptionHierarchy:
     def test_catching_the_base_class_catches_subclasses(self):
         with pytest.raises(exceptions.ReproError):
             raise exceptions.MappingError("boom")
+
+
+def test_project_metadata_names_the_package():
+    """``pyproject.toml`` carries the install metadata and no pytest settings."""
+    import tomllib
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    pyproject = tomllib.loads(text)
+    project = pyproject["project"]
+    assert project["name"] == "repro"
+    assert project["dependencies"] == ["networkx"]
+    assert project["requires-python"] == ">=3.11"
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "repro.__version__"}
+    assert "pytest" not in pyproject["tool"]

@@ -9,14 +9,17 @@ import pytest
 from repro.analysis.reporting import records_to_csv, records_to_json
 from repro.baselines import MuraliCompiler
 from repro.circuit.library import qft_circuit
+from repro.circuit.library.adder import adder_two_qubit_gate_count, cuccaro_adder_circuit
+from repro.circuit.qasm import qasm_to_circuit
 from repro.core.compiler import SSyncCompiler
-from repro.exceptions import SchedulingError
+from repro.exceptions import CircuitError, SchedulingError
 from repro.pipeline import (
     CompilerPipeline,
     MetricsPass,
     Pass,
     VerifySchedulePass,
 )
+from repro.registry import make_pipeline
 from repro.runtime.cache import CachedCompilation
 from repro.runtime.jobs import CompileJob
 
@@ -240,3 +243,21 @@ class TestSchedulesUnchangedByRefactor:
         first = compiler.compile(circuit)
         second = compiler.pipeline().compile(circuit)
         assert schedule_to_dict(first.schedule) == schedule_to_dict(second.schedule)
+
+
+@pytest.mark.parametrize("compiler", ["s-sync", "murali", "dai"])
+def test_gates_on_three_qubits_are_rejected(compiler):
+    """No router executes a 3-qubit gate, so it must not vanish from the schedule."""
+    from repro.hardware.presets import paper_device
+
+    pipeline = make_pipeline(compiler, paper_device("G-2x2"))
+    circuit = qasm_to_circuit(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+        "h q[0];\ncx q[0],q[1];\nccx q[0],q[1],q[2];\ncx q[1],q[2];\n"
+    )
+    with pytest.raises(CircuitError, match=r"gate #2 \(ccx 0, 1, 2\) acts on 3 qubits"):
+        pipeline.compile(circuit)
+    with pytest.raises(CircuitError, match="ccx"):
+        pipeline.compile(cuccaro_adder_circuit(2, decompose_toffoli=False))
+    result = pipeline.compile(cuccaro_adder_circuit(2))
+    assert result.two_qubit_gate_count == adder_two_qubit_gate_count(2)
