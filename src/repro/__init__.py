@@ -126,7 +126,6 @@ from repro.exceptions import (
 from repro.hardware import (
     GraphWeights,
     QCCDDevice,
-    SlotGraph,
     Trap,
     grid_device,
     hex_device,
@@ -217,7 +216,6 @@ __all__ = [
     "SchedulingPass",
     "ServiceClient",
     "ServiceError",
-    "SlotGraph",
     "StateError",
     "Trap",
     "VerifySchedulePass",

@@ -17,6 +17,7 @@ from typing import Sequence
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.compiler import SSyncCompiler, SSyncConfig
 from repro.core.mapping import GatheringMapper, InitialMapper
+from repro.core.mapping.base import check_fit
 from repro.core.scheduler import SchedulerConfig
 from repro.core.state import DeviceState
 from repro.exceptions import ReproError
@@ -69,7 +70,7 @@ class _FirstFitMapper(InitialMapper):
         ).assign_traps(circuit, device)
 
     def map(self, circuit: QuantumCircuit, device: QCCDDevice) -> DeviceState:
-        self._check_fit(circuit, device)
+        check_fit(circuit, device)
         assignment = self.assign_traps(circuit, device)
         self._check_assignment(circuit, device, assignment)
         # Skip the mountain ordering: chains keep ascending program order.

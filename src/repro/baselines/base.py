@@ -36,6 +36,7 @@ from typing import Any
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Gate
+from repro.core.mapping.base import check_fit
 from repro.core.result import CompilationResult
 from repro.core.state import DeviceState
 from repro.exceptions import SchedulingError
@@ -61,6 +62,7 @@ class BaselineMappingPass(Pass):
             )
         if context.state is not None:  # caller-supplied starting occupancy
             return
+        check_fit(context.circuit, self.router.device)
         mapped = self.router.build_initial_state(context.circuit)
         context.initial_state = mapped
         context.state = mapped.copy()

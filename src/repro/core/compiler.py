@@ -34,6 +34,7 @@ from repro.exceptions import SchedulingError
 from repro.hardware.device import QCCDDevice
 from repro.hardware.graph import GraphWeights
 from repro.pipeline import CompilerPipeline, InitialMappingPass, MetricsPass, SchedulingPass
+from repro.schema import check_fields, rule
 
 
 @dataclass(frozen=True)
@@ -41,23 +42,12 @@ class SSyncConfig:
     """Complete S-SYNC configuration: scheduler knobs plus mapping defaults."""
 
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    default_mapping: str = "gathering"
-    mapping_reserve_per_trap: int = 1
-    mapping_lookahead_layers: int = 8
+    default_mapping: str = field(default="gathering", metadata=rule("string", resolve=get_mapper))
+    mapping_reserve_per_trap: int = field(default=1, metadata=rule("int", minimum=0))
+    mapping_lookahead_layers: int = field(default=8, metadata=rule("int", minimum=1))
 
     def __post_init__(self) -> None:
-        # Manifests build configs from untyped JSON: reject ill-typed
-        # values here, as a SchedulingError, before any compile reads them.
-        if not isinstance(self.default_mapping, str):
-            raise SchedulingError(
-                f"default_mapping must be a str, not {type(self.default_mapping).__name__}"
-            )
-        for name, minimum in (("mapping_reserve_per_trap", 0), ("mapping_lookahead_layers", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SchedulingError(f"{name} must be an int, not {type(value).__name__}")
-            if value < minimum:
-                raise SchedulingError(f"{name} must be at least {minimum}, not {value}")
+        check_fields(self, SchedulingError)
 
     def with_weight_ratio(self, ratio: float) -> "SSyncConfig":
         """Return a config whose shuttle/inner weight ratio is ``ratio`` (Fig. 14)."""

@@ -22,6 +22,32 @@ from repro.exceptions import MappingError
 from repro.hardware.device import QCCDDevice
 
 
+def check_fit(circuit: QuantumCircuit, device: QCCDDevice) -> None:
+    """Raise :class:`MappingError` unless ``circuit`` can run on ``device``.
+
+    Every compiler checks this before it builds an initial mapping: the
+    qubits must leave at least one slot free for routing, and a circuit
+    with two-qubit gates needs a trap that can hold two ions.
+    """
+    if circuit.num_qubits > device.total_capacity:
+        raise MappingError(
+            f"circuit needs {circuit.num_qubits} qubits but the device only has "
+            f"{device.total_capacity} slots"
+        )
+    if circuit.num_qubits >= device.total_capacity:
+        raise MappingError(
+            "the device needs at least one free slot for routing; "
+            f"{circuit.num_qubits} qubits fill all {device.total_capacity} slots"
+        )
+    # Note: the per-trap reservation is a soft preference — strategies may
+    # spill into reserved slots when the circuit would not otherwise fit,
+    # as long as at least one slot in the whole device stays free.
+    if max(trap.capacity for trap in device.traps) < 2 and circuit.num_two_qubit_gates:
+        raise MappingError(
+            "no trap of the device holds two ions, so the circuit's two-qubit gates cannot run"
+        )
+
+
 class InitialMapper(abc.ABC):
     """Base class for first-level trap-assignment strategies."""
 
@@ -41,7 +67,7 @@ class InitialMapper(abc.ABC):
     # ------------------------------------------------------------------
     def map(self, circuit: QuantumCircuit, device: QCCDDevice) -> DeviceState:
         """Produce the initial occupancy for ``circuit`` on ``device``."""
-        self._check_fit(circuit, device)
+        check_fit(circuit, device)
         assignment = self.assign_traps(circuit, device)
         self._check_assignment(circuit, device, assignment)
         ordered = {
@@ -60,21 +86,6 @@ class InitialMapper(abc.ABC):
     def usable_capacity(self, device: QCCDDevice, trap_id: int) -> int:
         """Capacity of a trap after reserving slots for incoming ions."""
         return max(device.capacity(trap_id) - self.reserve_per_trap, 0)
-
-    def _check_fit(self, circuit: QuantumCircuit, device: QCCDDevice) -> None:
-        if circuit.num_qubits > device.total_capacity:
-            raise MappingError(
-                f"circuit needs {circuit.num_qubits} qubits but the device only has "
-                f"{device.total_capacity} slots"
-            )
-        if circuit.num_qubits >= device.total_capacity:
-            raise MappingError(
-                "the device needs at least one free slot for routing; "
-                f"{circuit.num_qubits} qubits fill all {device.total_capacity} slots"
-            )
-        # Note: the per-trap reservation is a soft preference — strategies may
-        # spill into reserved slots when the circuit would not otherwise fit,
-        # as long as at least one slot in the whole device stays free.
 
     def _check_assignment(
         self, circuit: QuantumCircuit, device: QCCDDevice, assignment: dict[int, list[int]]

@@ -44,20 +44,17 @@ from repro.hardware.device import QCCDDevice
 from repro.hardware.graph import GraphWeights
 from repro.schedule.operations import KIND_CODE_GATE_1Q, KIND_CODE_GATE_2Q, GateOperation
 from repro.schedule.schedule import Schedule
+from repro.schema import check_fields, rule
 
 #: The selectable scheduler cores, fastest first.  Both produce
 #: bit-identical schedules and statistics; see the module docstring.
 SCHEDULER_BACKENDS = ("flat", "naive")
 
-#: The numeric ``SchedulerConfig`` fields: (name, accepted types, wording).
-_NUMERIC_FIELDS = (
-    ("decay_delta", (int, float), "a number"),
-    ("decay_reset_interval", int, "an int"),
-    ("lookahead_depth", int, "an int"),
-    ("lookahead_weight", (int, float), "a number"),
-    ("stall_limit", int, "an int"),
-    ("max_generic_swaps", int, "an int"),
-)
+
+def _check_backend(name: object) -> None:
+    if name not in SCHEDULER_BACKENDS:
+        message = f"unknown scheduler backend {name!r}; expected one of {SCHEDULER_BACKENDS}"
+        raise SchedulingError(message)
 
 
 @dataclass(frozen=True)
@@ -67,57 +64,40 @@ class SchedulerConfig:
     The defaults follow §4.4 of the paper: inner weight 0.001, shuttle
     weight 1, decay δ = 0.001 reset after 5 iterations.  ``lookahead``
     parameters extend the heuristic beyond the frontier (0 = paper
-    faithful).
+    faithful).  Each field's rule is in its metadata (:mod:`repro.schema`).
     """
 
-    weights: GraphWeights = field(default_factory=GraphWeights)
-    decay_delta: float = 0.001
-    decay_reset_interval: int = 5
+    weights: GraphWeights = field(
+        default_factory=GraphWeights,
+        metadata=rule(GraphWeights, wording="a GraphWeights (set it through weight_ratio)"),
+    )
+    decay_delta: float = field(default=0.001, metadata=rule("number", minimum=0))
+    decay_reset_interval: int = field(default=5, metadata=rule("int", minimum=1))
     #: Number of dependency layers beyond the frontier considered by the
     #: heuristic.  The paper's Eq. 1 only looks at the frontier
     #: (``lookahead_depth = 0``); a shallow lookahead is an extension that
     #: markedly reduces shuttle counts on serial circuits such as the
     #: Cuccaro adder and is therefore the default here.
-    lookahead_depth: int = 4
-    lookahead_weight: float = 0.5
-    stall_limit: int = 64
-    max_generic_swaps: int = 2_000_000
+    lookahead_depth: int = field(default=4, metadata=rule("int", minimum=0))
+    lookahead_weight: float = field(default=0.5, metadata=rule("number", minimum=0))
+    stall_limit: int = field(default=64, metadata=rule("int", minimum=1))
+    max_generic_swaps: int = field(default=2_000_000, metadata=rule("int", minimum=1))
     #: Which scheduler core scores candidates — one of
     #: :data:`SCHEDULER_BACKENDS`.  ``None`` resolves to ``"flat"``.
     #: Both backends produce bit-identical schedules and statistics
     #: (asserted by the randomized parity suite); ``"naive"`` exists as
     #: the reference and for benchmarking the speedup.
-    backend: "str | None" = None
+    backend: "str | None" = field(
+        default=None, metadata=rule(resolve=_check_backend, optional=True)
+    )
 
     def __post_init__(self) -> None:
-        # Manifests build configs from untyped JSON: reject ill-typed
-        # values here, as a SchedulingError, before any compile reads them.
-        if not isinstance(self.weights, GraphWeights):
-            raise SchedulingError(
-                "weights must be a GraphWeights (manifests set it through weight_ratio), "
-                f"not {type(self.weights).__name__}"
-            )
-        for name, allowed, kind in _NUMERIC_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise SchedulingError(f"{name} must be {kind}, not {type(value).__name__}")
-        if self.stall_limit < 1:
-            raise SchedulingError("stall_limit must be at least 1")
-        if self.max_generic_swaps < 1:
-            raise SchedulingError("max_generic_swaps must be at least 1")
-        if self.lookahead_depth < 0 or self.lookahead_weight < 0:
-            raise SchedulingError("lookahead parameters cannot be negative")
+        check_fields(self, SchedulingError)
         # Resolve the backend exactly once, here, so every consumer
         # (run(), pipeline statistics, benchmarks) reads one field and
         # the naive candidate loop can never be reached by accident.
-        backend = self.backend
-        if backend is None:
-            backend = "flat"
-        if backend not in SCHEDULER_BACKENDS:
-            raise SchedulingError(
-                f"unknown scheduler backend {backend!r}; expected one of {SCHEDULER_BACKENDS}"
-            )
-        object.__setattr__(self, "backend", backend)
+        if self.backend is None:
+            object.__setattr__(self, "backend", "flat")
 
 
 @dataclass

@@ -6,10 +6,12 @@ SWAP gate exchanges two of them; they may only leave the chain from one
 of its two ends (Observation 2 of the paper) and an incoming ion merges
 at the end facing the connection it arrived through.
 
-The chain end facing a neighbouring trap follows the same orientation
-convention as :class:`repro.hardware.graph.SlotGraph`: the *right* end
-(last chain index) faces neighbours with a larger trap id, the *left*
-end (index 0) faces neighbours with a smaller id.
+The chain end facing a neighbouring trap (:meth:`DeviceState.facing_end`)
+follows one orientation convention, which the generic-swap rules
+(:class:`repro.core.generic_swap.GenericSwapRules`) and the flat state
+(:mod:`repro.core.flatstate`) share: the *right* end (last chain index)
+faces neighbours with a larger trap id, the *left* end (index 0) faces
+neighbours with a smaller id.
 
 The state is the scheduler's innermost data structure, so it maintains
 three derived indices incrementally instead of recomputing them per

@@ -1,7 +1,7 @@
-"""QCCD hardware model: traps, devices, topologies, presets, slot graph."""
+"""QCCD hardware model: traps, devices, topologies, presets, slot-graph weights."""
 
 from repro.hardware.device import QCCDDevice
-from repro.hardware.graph import GraphWeights, SlotGraph
+from repro.hardware.graph import GraphWeights
 from repro.hardware.presets import (
     PAPER_PRESETS,
     DevicePreset,
@@ -29,7 +29,6 @@ __all__ = [
     "JunctionCrossing",
     "PAPER_PRESETS",
     "QCCDDevice",
-    "SlotGraph",
     "Trap",
     "build_topology",
     "device_for_circuit",

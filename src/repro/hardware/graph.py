@@ -1,12 +1,11 @@
-"""Static weighted slot graph — the paper's topology formulation (§3.1).
+"""Weights of the paper's static slot graph (§3.1, §4.4).
 
 The key idea of S-SYNC is to model the device as a graph whose vertices
 are *slots* (a slot either holds a qubit or is an empty "space") rather
 than qubits, so that shuttling an ion is just an interchange of two node
-labels and the graph itself never changes shape.
-
-Nodes are ``(trap_id, position)`` pairs.  Edges and their weights follow
-the paper's example (Fig. 5 and §4.4):
+labels and the graph itself never changes shape.  Slots are
+``(trap_id, position)`` pairs, and edges are weighted as in the paper's
+example (Fig. 5 and §4.4):
 
 * intra-trap edge between slots at chain distance ``d``:
   weight ``inner_weight * d`` (``w1 = 0.001`` for adjacent ions,
@@ -15,21 +14,18 @@ the paper's example (Fig. 5 and §4.4):
   weight ``shuttle_weight * (junctions + 1)`` (``w3 = 2`` for one
   junction, ``w4 = 3`` for two, with ``shuttle_weight = 1``).
 
-The interchange rules of §3.1 (which node pairs may be swapped, and what
-each interchange costs physically) are implemented by
-:class:`repro.core.generic_swap.GenericSwapRules` on top of this graph.
+The graph is never materialised.  The interchange rules of §3.1 (which
+slot pairs may be swapped, and what each interchange costs physically)
+are :class:`repro.core.generic_swap.GenericSwapRules`, and the scheduler
+scores them over the flat occupancy state of :mod:`repro.core.flatstate`
+with these weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.exceptions import DeviceError
-from repro.hardware.device import QCCDDevice
-
-SlotNode = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -66,134 +62,4 @@ class GraphWeights:
             inner_weight=self.inner_weight,
             shuttle_weight=self.inner_weight * ratio,
             threshold=min(self.threshold, self.inner_weight * ratio / 2.0),
-        )
-
-
-class SlotGraph:
-    """The static weighted connectivity graph over device slots."""
-
-    def __init__(self, device: QCCDDevice, weights: GraphWeights | None = None) -> None:
-        self.device = device
-        self.weights = weights or GraphWeights()
-        self._graph = nx.Graph()
-        self._build()
-
-    def _build(self) -> None:
-        inner = self.weights.inner_weight
-        for trap in self.device.traps:
-            slots = [(trap.trap_id, position) for position in range(trap.capacity)]
-            self._graph.add_nodes_from(slots, trap=trap.trap_id)
-            # Full intra-trap connectivity, weighted by chain distance.
-            for i, node_a in enumerate(slots):
-                for j in range(i + 1, len(slots)):
-                    node_b = slots[j]
-                    distance = j - i
-                    self._graph.add_edge(
-                        node_a, node_b, weight=inner * distance, kind="intra", distance=distance
-                    )
-        for connection in self.device.connections:
-            weight = self.weights.shuttle_weight * (1 + connection.junctions)
-            edge_a = self._edge_slot_toward(connection.trap_a, connection.trap_b)
-            edge_b = self._edge_slot_toward(connection.trap_b, connection.trap_a)
-            self._graph.add_edge(
-                edge_a,
-                edge_b,
-                weight=weight,
-                kind="shuttle",
-                junctions=connection.junctions,
-                segments=connection.segments,
-            )
-
-    def _edge_slot_toward(self, trap_id: int, other_trap: int) -> SlotNode:
-        """The edge slot of ``trap_id`` facing ``other_trap``.
-
-        Traps with a lower id expose their last slot towards higher-id
-        neighbours and their first slot towards lower-id neighbours; this
-        gives a deterministic, geometry-like orientation for linear and
-        grid layouts.
-        """
-        capacity = self.device.capacity(trap_id)
-        if other_trap > trap_id:
-            return (trap_id, capacity - 1)
-        return (trap_id, 0)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (shared instance; treat as read-only)."""
-        return self._graph
-
-    @property
-    def num_nodes(self) -> int:
-        """Total slot count (= device total capacity)."""
-        return self._graph.number_of_nodes()
-
-    def nodes(self) -> list[SlotNode]:
-        """All slots as ``(trap, position)`` pairs, sorted."""
-        return sorted(self._graph.nodes)
-
-    def edge_weight(self, node_a: SlotNode, node_b: SlotNode) -> float:
-        """Weight of the edge between two slots (raises if absent)."""
-        if not self._graph.has_edge(node_a, node_b):
-            raise DeviceError(f"slots {node_a} and {node_b} are not connected")
-        return float(self._graph[node_a][node_b]["weight"])
-
-    def edge_kind(self, node_a: SlotNode, node_b: SlotNode) -> str:
-        """``"intra"`` or ``"shuttle"`` for the edge between two slots."""
-        if not self._graph.has_edge(node_a, node_b):
-            raise DeviceError(f"slots {node_a} and {node_b} are not connected")
-        return str(self._graph[node_a][node_b]["kind"])
-
-    def shuttle_edges(self) -> list[tuple[SlotNode, SlotNode]]:
-        """All inter-trap edges."""
-        return [
-            (a, b) for a, b, data in self._graph.edges(data=True) if data["kind"] == "shuttle"
-        ]
-
-    def same_trap(self, node_a: SlotNode, node_b: SlotNode) -> bool:
-        """True when two slots belong to the same trap."""
-        return node_a[0] == node_b[0]
-
-    def is_edge_slot(self, node: SlotNode) -> bool:
-        """True when the slot is at either end of its trap."""
-        trap_id, position = node
-        return position in self.device.trap(trap_id).edge_positions
-
-    def receiving_slot(self, from_trap: int, to_trap: int) -> SlotNode:
-        """The edge slot of ``to_trap`` that faces ``from_trap``."""
-        return self._edge_slot_toward(to_trap, from_trap)
-
-    def departing_slot(self, from_trap: int, to_trap: int) -> SlotNode:
-        """The edge slot of ``from_trap`` that faces ``to_trap``."""
-        return self._edge_slot_toward(from_trap, to_trap)
-
-    def slot_distance(self, node_a: SlotNode, node_b: SlotNode) -> float:
-        """Weighted shortest-path distance between two slots.
-
-        Same-trap pairs use the direct intra-trap edge; cross-trap pairs
-        combine the distance to the departing edge slot, the precomputed
-        trap-level shuttle distance, and the distance from the receiving
-        edge slot — which equals the graph shortest path but avoids a
-        Dijkstra run per query.
-        """
-        if node_a == node_b:
-            return 0.0
-        trap_a, pos_a = node_a
-        trap_b, pos_b = node_b
-        inner = self.weights.inner_weight
-        if trap_a == trap_b:
-            return inner * abs(pos_a - pos_b)
-        depart = self.departing_slot(trap_a, trap_b)
-        arrive = self.receiving_slot(trap_a, trap_b)
-        intra_out = inner * abs(pos_a - depart[1])
-        intra_in = inner * abs(pos_b - arrive[1])
-        shuttle = self.weights.shuttle_weight * self.device.trap_distance(trap_a, trap_b)
-        return intra_out + shuttle + intra_in
-
-    def __repr__(self) -> str:
-        return (
-            f"SlotGraph(device={self.device.name!r}, slots={self.num_nodes}, "
-            f"edges={self._graph.number_of_edges()})"
         )

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import NoiseModelError
+from repro.schema import check_fields, rule
 
 
 @dataclass(frozen=True)
@@ -24,21 +25,16 @@ class HeatingParameters:
     """Constants of the heating model (paper defaults)."""
 
     #: Quanta added to n̄ by one split or one merge operation.
-    k1: float = 0.1
+    k1: float = field(default=0.1, metadata=rule("number", minimum=0))
     #: Quanta added to n̄ per shuttled segment (and per junction crossing).
-    k2: float = 0.01
+    k2: float = field(default=0.01, metadata=rule("number", minimum=0))
     #: Background heating rate Γ in s⁻¹.
-    background_rate_per_s: float = 1.0
+    background_rate_per_s: float = field(default=1.0, metadata=rule("number", minimum=0))
     #: Calibration constant A₀ of A = A₀ · N / ln N.
-    amplitude_scale: float = 1.0e-4
+    amplitude_scale: float = field(default=1.0e-4, metadata=rule("number", above=0))
 
     def __post_init__(self) -> None:
-        if self.k1 < 0 or self.k2 < 0:
-            raise NoiseModelError("heating quanta k1 and k2 cannot be negative")
-        if self.background_rate_per_s < 0:
-            raise NoiseModelError("the background heating rate cannot be negative")
-        if self.amplitude_scale <= 0:
-            raise NoiseModelError("the amplitude scale must be positive")
+        check_fields(self, NoiseModelError)
 
     def amplitude_factor(self, chain_length: int) -> float:
         """The scale factor A = A₀ · N / ln N for a chain of N ions."""

@@ -32,129 +32,77 @@ were the client's fault.
 from __future__ import annotations
 
 import json
-from dataclasses import fields as dataclass_fields
-from dataclasses import replace
-from functools import lru_cache
+import math
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.circuit.qasm import qasm_to_circuit
 from repro.core.compiler import SSyncConfig
 from repro.core.mapping import get_mapper
 from repro.core.scheduler import SchedulerConfig
 from repro.exceptions import ManifestError, ReproError
-from repro.hardware.presets import paper_device
 from repro.noise.gate_times import GateImplementation
 from repro.noise.heating import HeatingParameters
 from repro.registry import compiler_spec, normalize_compiler_name
-from repro.runtime.jobs import CompileJob
+from repro.runtime.jobs import CompileJob, _named_fingerprint
+from repro.schema import Rule, ruled_fields
 
-#: Manifest keys understood by :func:`job_from_dict`.
-_JOB_KEYS = frozenset(
-    {
-        "circuit",
-        "device",
-        "capacity",
-        "compiler",
-        "mapping",
-        "initial_mapping",
-        "gate_implementation",
-        "heating",
-        "config",
-        "label",
-        "parameter",
-        "value",
-    }
-)
-
-_SCHEDULER_KEYS = frozenset(f.name for f in dataclass_fields(SchedulerConfig))
-_TOP_LEVEL_KEYS = frozenset(
-    {"default_mapping", "mapping_reserve_per_trap", "mapping_lookahead_layers"}
-)
+#: The rule of each job key (``mapping`` aliases ``initial_mapping``).  Named circuits
+#: and devices must also build; the device builder owns the range of ``capacity``.
+JOB_RULES: dict[str, Rule] = {
+    "circuit": Rule("string"),
+    "device": Rule("string"),
+    "capacity": Rule("int", optional=True),
+    "compiler": Rule("string", resolve=normalize_compiler_name),
+    "initial_mapping": Rule("string", resolve=get_mapper, optional=True),
+    "gate_implementation": Rule("string", resolve=GateImplementation.from_name),
+    "heating": Rule("object", optional=True),
+    "config": Rule("object", optional=True),
+    "label": Rule(),
+    "parameter": Rule(),
+    "value": Rule(),
+}
+#: The ``config`` knob for the Fig. 14 ratio ``r``; ``GraphWeights`` owns its range.
+WEIGHT_RATIO_RULE = Rule("number")
 
 
 def ssync_config_from_dict(data: Mapping[str, Any]) -> SSyncConfig:
     """Build an :class:`SSyncConfig` from flat manifest keys.
 
-    Accepts the top-level mapping fields, any :class:`SchedulerConfig`
-    field, and the convenience knob ``weight_ratio`` (the Fig. 14 ``r``).
+    Accepts the ruled :class:`SSyncConfig` and :class:`SchedulerConfig`
+    fields, and the convenience knob ``weight_ratio`` (the Fig. 14 ``r``).
     """
-    config = SSyncConfig()
     top: dict[str, Any] = {}
     scheduler: dict[str, Any] = {}
     ratio: float | None = None
     for key, value in data.items():
         if key == "weight_ratio":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ManifestError(f"weight_ratio must be a number, not {value!r}")
+            WEIGHT_RATIO_RULE.check(key, value, ManifestError)
             ratio = float(value)
-        elif key in _TOP_LEVEL_KEYS:
+        elif key in ruled_fields(SSyncConfig):
             top[key] = value
-        elif key in _SCHEDULER_KEYS:
+        elif key in ruled_fields(SchedulerConfig):
             scheduler[key] = value
         else:
             raise ManifestError(f"unknown S-SYNC config key {key!r} in manifest")
-    if scheduler:
-        config = replace(config, scheduler=replace(config.scheduler, **scheduler))
-    if top:
-        config = replace(config, **top)
+    config = SSyncConfig(scheduler=SchedulerConfig(**scheduler), **top)
     if ratio is not None:
         config = config.with_weight_ratio(ratio)
     return config
 
 
-@lru_cache(maxsize=64)
-def _device_spec_error(device: str, capacity: "int | None") -> str | None:
-    """``None`` when the spec resolves, else the builder's error message.
-
-    Memoised because validation materialises the device (including its
-    dense distance matrices) only to discard it, and a sweep-shaped
-    manifest repeats one spec across every job.
-    """
-    try:
-        paper_device(device, capacity)
-    except (ReproError, TypeError, ValueError) as exc:
-        return str(exc)
-    return None
-
-
-def _validate_device_spec(device: str, capacity: Any) -> None:
-    if isinstance(capacity, int) or capacity is None:
-        error = _device_spec_error(device, capacity)
-    else:  # unhashable/garbage capacity cannot go through the cache
-        error = _device_spec_error.__wrapped__(device, capacity)
-    if error is not None:
-        raise ManifestError(f"invalid device spec {device!r}: {error}")
-
-
-def _resolve_circuit_spec(spec: Any) -> Any:
-    """A ``.qasm`` path is loaded eagerly; benchmark names stay symbolic."""
-    if isinstance(spec, str) and spec.lower().endswith(".qasm"):
+def _resolve_circuit_spec(spec: str) -> Any:
+    """A ``.qasm`` path is loaded eagerly; a benchmark name must build."""
+    if spec.lower().endswith(".qasm"):
         path = Path(spec)
         if not path.exists():
             raise ManifestError(f"manifest circuit file {spec!r} does not exist")
         return qasm_to_circuit(path.read_text(), name=path.stem)
+    try:
+        _named_fingerprint("circuit", spec)
+    except ReproError as exc:
+        raise ManifestError(f"invalid circuit {spec!r}: {exc}") from exc
     return spec
-
-
-def _check_mapping_name(name: Any, key: str) -> None:
-    """Resolve a mapping name now, so a typo fails the manifest, not the job."""
-    if not isinstance(name, str):
-        raise ManifestError(f"{key} must be a string, not {type(name).__name__}")
-    try:
-        get_mapper(name)
-    except ReproError as exc:
-        raise ManifestError(f"{key}: {exc}") from exc
-
-
-def _check_gate_implementation(name: Any) -> None:
-    """Resolve a gate implementation now (the service hashes it into job ids)."""
-    if not isinstance(name, str):
-        raise ManifestError(f"gate_implementation must be a string, not {type(name).__name__}")
-    try:
-        GateImplementation.from_name(name)
-    except ReproError as exc:
-        raise ManifestError(str(exc)) from exc
 
 
 def _normalize_mapping_key(spec: Mapping[str, Any]) -> dict[str, Any]:
@@ -172,39 +120,36 @@ def _normalize_mapping_key(spec: Mapping[str, Any]) -> dict[str, Any]:
 def job_from_dict(
     data: Mapping[str, Any], defaults: Mapping[str, Any] | None = None
 ) -> CompileJob:
-    """Build one :class:`CompileJob` from a manifest job object."""
+    """Build one :class:`CompileJob` from a manifest job object, checking every value."""
     merged: dict[str, Any] = _normalize_mapping_key(defaults or {})
     merged.update(_normalize_mapping_key(data))
-    unknown = set(merged) - _JOB_KEYS
+    unknown = set(merged) - JOB_RULES.keys()
     if unknown:
         raise ManifestError(f"unknown manifest job keys: {', '.join(sorted(unknown))}")
     if "circuit" not in merged:
         raise ManifestError("every manifest job needs a 'circuit'")
     if "device" not in merged:
         raise ManifestError("every manifest job needs a 'device' (directly or via defaults)")
+    for key, value in merged.items():
+        JOB_RULES[key].check(key, value, ManifestError)
 
-    config = merged.get("config")
-    if isinstance(config, Mapping):
-        config = ssync_config_from_dict(config)
-        _check_mapping_name(config.default_mapping, "default_mapping")
-    heating = merged.get("heating")
-    if isinstance(heating, Mapping):
-        try:
-            heating = HeatingParameters(**heating)
-        except TypeError as exc:
-            raise ManifestError(f"invalid heating parameters in manifest: {exc}") from exc
-
-    mapping = merged.get("initial_mapping")
-    # Resolve the compiler through the registry and validate the device
-    # spec now, so a typo fails with the job's index in the error (and a
-    # 4xx from the service) instead of mid-batch in a worker process.
+    circuit = _resolve_circuit_spec(merged["circuit"])
+    device, capacity = merged["device"], merged.get("capacity")
     try:
-        compiler = normalize_compiler_name(str(merged.get("compiler", "s-sync")))
+        _named_fingerprint("device", device, capacity)
     except ReproError as exc:
-        raise ManifestError(str(exc)) from exc
-    device = merged["device"]
-    if isinstance(device, str):
-        _validate_device_spec(device, merged.get("capacity"))
+        raise ManifestError(f"invalid device spec {device!r}: {exc}") from exc
+    config = merged.get("config")
+    if config is not None:
+        config = ssync_config_from_dict(config)
+    heating = merged.get("heating")
+    if heating is not None:
+        unknown = set(heating) - ruled_fields(HeatingParameters).keys()
+        if unknown:
+            raise ManifestError(f"unknown heating parameters: {', '.join(sorted(unknown))}")
+        heating = HeatingParameters(**heating)
+    compiler = normalize_compiler_name(merged.get("compiler", "s-sync"))
+    mapping = merged.get("initial_mapping")
     if mapping is not None and not compiler_spec(compiler).accepts_mapping:
         if "initial_mapping" in _normalize_mapping_key(data):
             raise ManifestError(
@@ -214,18 +159,14 @@ def job_from_dict(
         # A defaults-level mapping is meant for the jobs whose compiler
         # has pluggable mappings; fixed-mapping compilers just skip it.
         mapping = None
-    if mapping is not None:
-        _check_mapping_name(mapping, "mapping")
-    gate_implementation = merged.get("gate_implementation", "fm")
-    _check_gate_implementation(gate_implementation)
     return CompileJob(
-        circuit=_resolve_circuit_spec(merged["circuit"]),
-        device=merged["device"],
-        capacity=merged.get("capacity"),
+        circuit=circuit,
+        device=device,
+        capacity=capacity,
         compiler=compiler,
         initial_mapping=mapping,
         config=config,
-        gate_implementation=gate_implementation,
+        gate_implementation=merged.get("gate_implementation", "fm"),
         heating=heating,
         label=str(merged.get("label", "")),
         parameter=str(merged.get("parameter", "")),
@@ -235,18 +176,21 @@ def job_from_dict(
 
 def jobs_from_manifest(document: Any) -> list[CompileJob]:
     """Parse a loaded manifest document (mapping or bare job list)."""
-    if isinstance(document, Sequence) and not isinstance(document, (str, bytes)):
-        defaults: Mapping[str, Any] = {}
-        job_specs = document
-    elif isinstance(document, Mapping):
+    if isinstance(document, Mapping):
         defaults = document.get("defaults", {})
         job_specs = document.get("jobs")
         if job_specs is None:
             raise ManifestError("manifest object needs a 'jobs' list")
+    elif isinstance(document, (list, tuple)):
+        defaults, job_specs = {}, document
     else:
         raise ManifestError("a manifest must be a JSON object or a list of jobs")
     if not isinstance(defaults, Mapping):
         raise ManifestError("manifest 'defaults' must be an object")
+    if not isinstance(job_specs, (list, tuple)):
+        raise ManifestError(f"manifest 'jobs' must be a list, not {type(job_specs).__name__}")
+    if not job_specs:
+        raise ManifestError("the manifest contains no jobs")
     jobs = []
     for index, spec in enumerate(job_specs):
         if not isinstance(spec, Mapping):
@@ -255,9 +199,15 @@ def jobs_from_manifest(document: Any) -> list[CompileJob]:
             jobs.append(job_from_dict(spec, defaults=defaults))
         except ReproError as exc:
             raise ManifestError(f"manifest job #{index}: {exc}") from exc
-    if not jobs:
-        raise ManifestError("the manifest contains no jobs")
     return jobs
+
+
+def _finite_number(text: str) -> float:
+    """JSON number hook: refuse ``NaN``, ``Infinity`` and floats that overflow."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ManifestError(f"invalid JSON manifest: {text} is not a finite number")
+    return value
 
 
 def manifest_document_from_text(text: "str | bytes") -> Any:
@@ -267,7 +217,7 @@ def manifest_document_from_text(text: "str | bytes") -> Any:
     *document* as well as the jobs — the service journals the document
     verbatim, which is what makes interrupted jobs resubmittable after a
     restart — decode exactly once.  Raises :class:`ManifestError` for
-    bodies that are not UTF-8 or not JSON.
+    bodies that are not UTF-8, not JSON or not finite numbers.
     """
     if isinstance(text, bytes):
         try:
@@ -275,8 +225,8 @@ def manifest_document_from_text(text: "str | bytes") -> Any:
         except UnicodeDecodeError as exc:
             raise ManifestError(f"manifest body is not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ManifestError(f"invalid JSON manifest: {exc}") from exc
 
 

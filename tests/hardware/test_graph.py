@@ -1,12 +1,11 @@
-"""Unit tests for the static weighted slot graph (paper §3.1)."""
+"""Unit tests for the slot-graph weights (paper §3.1, §4.4)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import DeviceError
-from repro.hardware.graph import GraphWeights, SlotGraph
-from repro.hardware.topologies import grid_device, linear_device
+from repro.hardware.graph import GraphWeights
 
 
 class TestGraphWeights:
@@ -34,78 +33,3 @@ class TestGraphWeights:
         assert weights.inner_weight == pytest.approx(0.001)
         with pytest.raises(DeviceError):
             GraphWeights().with_ratio(-5)
-
-
-class TestSlotGraphStructure:
-    def test_node_count_equals_total_capacity(self):
-        device = linear_device(3, 4)
-        graph = SlotGraph(device)
-        assert graph.num_nodes == device.total_capacity
-        assert len(graph.nodes()) == 12
-
-    def test_intra_trap_edges_are_complete(self):
-        device = linear_device(1, 5)
-        graph = SlotGraph(device)
-        # A 5-slot trap has C(5,2)=10 intra edges and no shuttle edges.
-        assert graph.graph.number_of_edges() == 10
-        assert graph.shuttle_edges() == []
-
-    def test_intra_weights_scale_with_distance(self):
-        graph = SlotGraph(linear_device(1, 4))
-        assert graph.edge_weight((0, 0), (0, 1)) == pytest.approx(0.001)
-        assert graph.edge_weight((0, 0), (0, 3)) == pytest.approx(0.003)
-        assert graph.edge_kind((0, 0), (0, 3)) == "intra"
-
-    def test_shuttle_edges_connect_facing_edge_slots(self):
-        device = linear_device(2, 4)
-        graph = SlotGraph(device)
-        shuttle_edges = graph.shuttle_edges()
-        assert len(shuttle_edges) == 1
-        nodes = set(shuttle_edges[0])
-        assert nodes == {(0, 3), (1, 0)}
-        assert graph.edge_weight((0, 3), (1, 0)) == pytest.approx(1.0)
-
-    def test_grid_shuttle_weight_includes_junction(self):
-        device = grid_device(1, 2, 3)
-        graph = SlotGraph(device)
-        (a, b), = graph.shuttle_edges()
-        assert graph.edge_weight(a, b) == pytest.approx(2.0)
-        assert graph.edge_kind(a, b) == "shuttle"
-
-    def test_missing_edge_raises(self):
-        graph = SlotGraph(linear_device(2, 3))
-        with pytest.raises(DeviceError):
-            graph.edge_weight((0, 0), (1, 2))
-
-
-class TestSlotGraphQueries:
-    def test_same_trap_and_edge_slots(self):
-        graph = SlotGraph(linear_device(2, 4))
-        assert graph.same_trap((0, 1), (0, 3))
-        assert not graph.same_trap((0, 1), (1, 1))
-        assert graph.is_edge_slot((0, 0))
-        assert graph.is_edge_slot((0, 3))
-        assert not graph.is_edge_slot((0, 2))
-
-    def test_departing_and_receiving_slots(self):
-        graph = SlotGraph(linear_device(3, 5))
-        assert graph.departing_slot(0, 1) == (0, 4)
-        assert graph.receiving_slot(0, 1) == (1, 0)
-        assert graph.departing_slot(2, 1) == (2, 0)
-        assert graph.receiving_slot(2, 1) == (1, 4)
-
-    def test_slot_distance_same_trap(self):
-        graph = SlotGraph(linear_device(2, 6))
-        assert graph.slot_distance((0, 1), (0, 4)) == pytest.approx(0.003)
-        assert graph.slot_distance((0, 2), (0, 2)) == 0.0
-
-    def test_slot_distance_cross_trap_matches_components(self):
-        graph = SlotGraph(linear_device(2, 4))
-        # (0,1) -> depart (0,3): 2 steps; shuttle 1; arrive (1,0) -> (1,2): 2 steps.
-        expected = 0.002 + 1.0 + 0.002
-        assert graph.slot_distance((0, 1), (1, 2)) == pytest.approx(expected)
-
-    def test_slot_distance_symmetry(self):
-        graph = SlotGraph(grid_device(2, 2, 4))
-        a, b = (0, 1), (3, 2)
-        assert graph.slot_distance(a, b) == pytest.approx(graph.slot_distance(b, a))

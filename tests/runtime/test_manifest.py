@@ -184,6 +184,11 @@ class TestTypedManifestErrors:
         with pytest.raises(ManifestError, match="JSON object or a list"):
             jobs_from_manifest("just a string")
 
+    @pytest.mark.parametrize("body", ['{"jobs": 3}', '{"jobs": true}'])
+    def test_jobs_must_be_a_list(self, body):
+        with pytest.raises(ManifestError, match="'jobs' must be a list"):
+            jobs_from_manifest_text(body)
+
     def test_job_index_is_reported(self):
         document = {
             "defaults": {"device": "G-2x2"},
@@ -217,6 +222,8 @@ class TestTypedManifestErrors:
             ({"mapping_reserve_per_trap": "x"}, "mapping_reserve_per_trap must be an int"),
             ({"mapping_lookahead_layers": -5}, "mapping_lookahead_layers must be at least 1"),
             ({"default_mapping": "bogus"}, "unknown initial mapping 'bogus'"),
+            ({"decay_delta": -1}, "decay_delta must be at least 0"),
+            ({"decay_reset_interval": 0}, "decay_reset_interval must be at least 1"),
         ],
     )
     def test_ill_typed_scheduler_config(self, config, message):
@@ -231,6 +238,15 @@ class TestTypedManifestErrors:
             ({"initial_mapping": 3}, "mapping must be a string"),
             ({"gate_implementation": "bogus"}, "unknown gate implementation 'bogus'"),
             ({"gate_implementation": 3}, "gate_implementation must be a string"),
+            ({"config": 3}, "config must be an object"),
+            ({"heating": 3}, "heating must be an object"),
+            ({"circuit": 4}, "circuit must be a string"),
+            ({"device": 3}, "device must be a string"),
+            ({"circuit": "bogus_4"}, "invalid circuit 'bogus_4'"),
+            ({"circuit": "qft_0"}, "invalid circuit 'qft_0'"),
+            ({"capacity": [4, 4, 4, 4]}, "capacity must be an int"),
+            ({"capacity": True}, "capacity must be an int"),
+            ({"heating": {"k1": float("nan")}}, "NaN is not a finite number"),
         ],
     )
     def test_ill_typed_job_keys(self, keys, message):

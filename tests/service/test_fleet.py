@@ -149,9 +149,14 @@ class TestRoutingAndAggregation:
         with pytest.raises(ServiceError) as excinfo:
             client.job("0" * 16)
         assert excinfo.value.status == 404
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit(b"{not json")
-        assert excinfo.value.status == 400
+        for body in (
+            b"{not json",
+            b'{"jobs": 3}',
+            b'{"jobs": [{"circuit": "qft_0", "device": "G-2x2"}]}',
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(body)
+            assert excinfo.value.status == 400
 
 
 class _LiveProcess:

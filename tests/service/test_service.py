@@ -262,6 +262,8 @@ class TestErrorPaths:
             ({"mapping_reserve_per_trap": "x"}, "mapping_reserve_per_trap must be an int"),
             ({"mapping_lookahead_layers": -5}, "mapping_lookahead_layers must be at least 1"),
             ({"default_mapping": "bogus"}, "unknown initial mapping 'bogus'"),
+            ({"decay_delta": -1}, "decay_delta must be at least 0"),
+            ({"decay_reset_interval": 0}, "decay_reset_interval must be at least 1"),
         ],
     )
     def test_ill_typed_scheduler_config_is_400(self, service_stack, config, message):
@@ -278,6 +280,15 @@ class TestErrorPaths:
             ({"mapping": "bogus"}, "unknown initial mapping 'bogus'"),
             ({"gate_implementation": "bogus"}, "unknown gate implementation 'bogus'"),
             ({"gate_implementation": 3}, "gate_implementation must be a string"),
+            ({"config": 3}, "config must be an object"),
+            ({"heating": 3}, "heating must be an object"),
+            ({"circuit": 4}, "circuit must be a string"),
+            ({"device": 3}, "device must be a string"),
+            ({"circuit": "bogus_4"}, "invalid circuit 'bogus_4'"),
+            ({"circuit": "qft_0"}, "invalid circuit 'qft_0'"),
+            ({"capacity": [4, 4, 4, 4]}, "capacity must be an int"),
+            ({"capacity": True}, "capacity must be an int"),
+            ({"heating": {"k1": float("nan")}}, "NaN is not a finite number"),
         ],
     )
     def test_ill_typed_job_keys_are_400(self, service_stack, keys, message):
@@ -293,6 +304,14 @@ class TestErrorPaths:
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"jobs": []})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("body", [b'{"jobs": 3}', b'{"jobs": true}'])
+    def test_jobs_that_are_not_a_list_are_400(self, service_stack, body):
+        _, client = service_stack
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"]["type"] == "manifest_error"
 
     def test_unknown_job_is_404(self, service_stack):
         _, client = service_stack

@@ -356,6 +356,36 @@ class TestJournalReplay:
             finally:
                 service.close(drain_timeout=WAIT)
 
+    def test_interrupted_job_the_schema_now_rejects_fails_with_restart_error(self, tmp_path):
+        """A journaled manifest that older rules accepted must not stop a restart."""
+        journal_path = tmp_path / "jobs.journal.jsonl"
+        stale = {
+            "jobs": [
+                {"circuit": "qft_8", "device": "G-2x2", "config": {"decay_reset_interval": 0}}
+            ]
+        }
+        with JobJournal(journal_path) as journal:
+            journal.append(
+                "submitted",
+                "0a1b2c3d4e5f6a7b",
+                created_at=time.time(),
+                priority=0,
+                jobs=1,
+                specs=[{"circuit": "qft_8"}],
+                manifest=stale,
+            )
+            journal.append("running", "0a1b2c3d4e5f6a7b")
+        service = CompilationService(workers=1, cache_dir=tmp_path, warm=False)
+        try:
+            job = service.store.get("0a1b2c3d4e5f6a7b")
+            assert job is not None and job.status == "failed"
+            assert job.error["type"] == "ServiceRestart"
+            fresh, _ = service.submit_document(manifest("qft_8", "after-restart"))
+            wait_until(lambda: fresh.finished)
+            assert fresh.status == "done"
+        finally:
+            service.close(drain_timeout=WAIT)
+
     def test_recover_fail_policy_never_resubmits(self, tmp_path):
         journal_path = tmp_path / "jobs.journal.jsonl"
         with JobJournal(journal_path) as journal:
