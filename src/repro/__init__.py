@@ -48,10 +48,6 @@ The package mirrors the paper's structure:
   counters/gauges/histograms with labels, Prometheus text-format
   exposition (served at ``GET /v1/metrics``) and its parser, wired
   through the cache, engine, scheduler, journal and HTTP layers;
-* :mod:`repro.loadgen` — the seeded service load generator behind
-  ``python -m repro loadgen`` and the tracked throughput benchmark
-  (``burst``/``duplicates``/``priorities`` profiles, latency
-  percentiles, reproducible request plans);
 * :mod:`repro.fuzz` — differential scenario fuzzing behind
   ``python -m repro fuzz``: a seeded generator cross-producting random
   circuits with random devices, an oracle asserting flat-versus-naive

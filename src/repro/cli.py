@@ -1,6 +1,6 @@
 """Command-line interface for the S-SYNC reproduction.
 
-Eleven subcommands cover the common workflows without writing Python:
+Ten subcommands cover the common workflows without writing Python:
 
 ``compile``
     Compile a circuit (a named Table-2 benchmark or an OpenQASM 2.0 file)
@@ -39,12 +39,6 @@ Eleven subcommands cover the common workflows without writing Python:
     ``jobs --metrics`` pretty-prints the service's ``/v1/metrics``
     exposition as a table (see ``docs/observability.md``).
 
-``loadgen``
-    Drive a running service with a seeded synthetic workload
-    (:mod:`repro.loadgen`: ``burst``, ``duplicates``, ``priorities``
-    or ``results``)
-    and print latency percentiles and throughput.
-
 ``fuzz``
     Differential scenario fuzzing (:mod:`repro.fuzz`): seeded random
     circuits x random devices through both scheduler backends and the
@@ -69,7 +63,6 @@ Examples::
     python -m repro jobs --url http://127.0.0.1:8000
     python -m repro jobs --cancel 4c58ad19e38009ca --url http://127.0.0.1:8000
     python -m repro jobs --metrics --url http://127.0.0.1:8000
-    python -m repro loadgen --profile burst --requests 20 --url http://127.0.0.1:8000
     python -m repro fuzz --cases 200 --seed 0 --corpus tests/fuzz/corpus
 """
 
@@ -390,35 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--raw",
         action="store_true",
         help="with --metrics: print the Prometheus text exposition verbatim",
-    )
-
-    loadgen_parser = sub.add_parser(
-        "loadgen", help="drive a running service with a synthetic workload profile"
-    )
-    add_client_url(loadgen_parser)
-    loadgen_parser.add_argument(
-        "--profile",
-        default="burst",
-        choices=("burst", "duplicates", "priorities", "results"),
-        help="workload shape (see repro.loadgen; default: %(default)s)",
-    )
-    loadgen_parser.add_argument(
-        "--requests", type=int, default=20, help="how many submissions to make"
-    )
-    loadgen_parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=4,
-        help="client threads submitting and streaming concurrently",
-    )
-    loadgen_parser.add_argument(
-        "--seed", type=int, default=0, help="request-plan seed (plans are deterministic)"
-    )
-    loadgen_parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="also write the aggregated result as JSON to this file",
     )
 
     fuzz_parser = sub.add_parser(
@@ -884,48 +848,6 @@ def _command_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_loadgen(args: argparse.Namespace) -> int:
-    # Deferred import like the other service commands.
-    from repro.loadgen import run_profile
-
-    result = run_profile(
-        args.url,
-        args.profile,
-        requests=args.requests,
-        seed=args.seed,
-        concurrency=args.concurrency,
-        timeout=args.timeout,
-    )
-    summary = result.as_dict()
-    latency = summary["latency_s"]
-    print(
-        format_table(
-            [
-                {
-                    "profile": summary["profile"],
-                    "requests": summary["requests"],
-                    "throughput_rps": summary["throughput_rps"],
-                    "p50_s": latency["p50"],
-                    "p95_s": latency["p95"],
-                    "p99_s": latency["p99"],
-                    "max_s": latency["max"],
-                    "wall_s": summary["wall_s"],
-                }
-            ],
-            title=f"loadgen {summary['profile']} (seed {summary['seed']})",
-        )
-    )
-    print(
-        "statuses="
-        + " ".join(f"{k}:{v}" for k, v in sorted(summary["statuses"].items()))
-        + f" resubmitted={summary['resubmitted']}"
-    )
-    if args.output is not None:
-        args.output.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        print(f"result written to {args.output}")
-    return 0 if result.ok else 1
-
-
 def _command_fuzz(args: argparse.Namespace) -> int:
     # Deferred import: the fuzz subsystem pulls in every compiler.
     from repro.fuzz import run_fuzz
@@ -980,7 +902,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "submit": _command_submit,
         "results": _command_results,
         "jobs": _command_jobs,
-        "loadgen": _command_loadgen,
         "fuzz": _command_fuzz,
     }
     try:

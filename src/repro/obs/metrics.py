@@ -52,11 +52,11 @@ DEFAULT_BUCKETS = (
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
 )
 
-#: Service HTTP-latency buckets, in seconds.  Retuned against the
-#: measured loadgen distributions in
-#: ``benchmarks/results/BENCH_service_throughput.json``: every profile
-#: lands between ~3 ms (results-stream p50) and ~66 ms (burst max), a
-#: band the default buckets cross with only three edges (10/25/50 ms).
+#: Service HTTP-latency buckets, in seconds.  Retuned against four
+#: seeded load profiles of small jobs, measured on a one-core host:
+#: every profile landed between ~3 ms (results-stream p50) and ~66 ms
+#: (burst max), a band the default buckets cross with only three edges
+#: (10/25/50 ms).
 #: The sub-100 ms region gets edges bracketing the observed p50s
 #: (3–19 ms) and p95s (4–62 ms); the tail keeps sparse coverage out to
 #: the longest plausible synchronous request.

@@ -13,8 +13,10 @@ job list and optional shared defaults::
       ]
     }
 
-A bare JSON list of job objects is also accepted.  Each job object
-supports the keys ``circuit`` (benchmark name or ``.qasm`` path),
+A bare JSON list of job objects is also accepted, and an object with any
+top-level key besides ``jobs`` and ``defaults`` is refused.  Each job object
+supports the keys ``circuit`` (benchmark name, or a ``.qasm`` path that
+only :func:`load_manifest` reads),
 ``device``/``capacity``, ``compiler``, ``mapping`` (or
 ``initial_mapping``), ``gate_implementation``, ``heating`` (a mapping of
 :class:`HeatingParameters` fields), ``config`` (see
@@ -64,6 +66,8 @@ JOB_RULES: dict[str, Rule] = {
 }
 #: The ``config`` knob for the Fig. 14 ratio ``r``; ``GraphWeights`` owns its range.
 WEIGHT_RATIO_RULE = Rule("number")
+#: The keys a manifest object may carry.
+_DOCUMENT_KEYS = frozenset({"jobs", "defaults"})
 
 
 def ssync_config_from_dict(data: Mapping[str, Any]) -> SSyncConfig:
@@ -91,13 +95,19 @@ def ssync_config_from_dict(data: Mapping[str, Any]) -> SSyncConfig:
     return config
 
 
-def _resolve_circuit_spec(spec: str) -> Any:
-    """A ``.qasm`` path is loaded eagerly; a benchmark name must build."""
+def _resolve_circuit_spec(spec: str, read_files: bool) -> Any:
+    """A ``.qasm`` path is loaded eagerly if ``read_files``; a benchmark name must build."""
     if spec.lower().endswith(".qasm"):
+        if not read_files:
+            raise ManifestError(
+                f"circuit {spec!r} names a file, and circuit files are read only by "
+                "repro batch; submit a benchmark name"
+            )
         path = Path(spec)
-        if not path.exists():
-            raise ManifestError(f"manifest circuit file {spec!r} does not exist")
-        return qasm_to_circuit(path.read_text(), name=path.stem)
+        try:
+            return qasm_to_circuit(path.read_text(encoding="utf-8"), name=path.stem)
+        except (OSError, UnicodeDecodeError, ReproError) as exc:
+            raise ManifestError(f"cannot load circuit file {spec!r}: {exc}") from exc
     try:
         _named_fingerprint("circuit", spec)
     except ReproError as exc:
@@ -118,9 +128,17 @@ def _normalize_mapping_key(spec: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def job_from_dict(
-    data: Mapping[str, Any], defaults: Mapping[str, Any] | None = None
+    data: Mapping[str, Any],
+    defaults: Mapping[str, Any] | None = None,
+    *,
+    read_files: bool = False,
 ) -> CompileJob:
-    """Build one :class:`CompileJob` from a manifest job object, checking every value."""
+    """Build one :class:`CompileJob` from a manifest job object, checking every value.
+
+    A ``.qasm`` circuit path is read only with ``read_files=True``, which
+    :func:`load_manifest` passes: a document that arrives over the network
+    must not name files on the machine that parses it.
+    """
     merged: dict[str, Any] = _normalize_mapping_key(defaults or {})
     merged.update(_normalize_mapping_key(data))
     unknown = set(merged) - JOB_RULES.keys()
@@ -133,7 +151,7 @@ def job_from_dict(
     for key, value in merged.items():
         JOB_RULES[key].check(key, value, ManifestError)
 
-    circuit = _resolve_circuit_spec(merged["circuit"])
+    circuit = _resolve_circuit_spec(merged["circuit"], read_files)
     device, capacity = merged["device"], merged.get("capacity")
     try:
         _named_fingerprint("device", device, capacity)
@@ -174,9 +192,15 @@ def job_from_dict(
     )
 
 
-def jobs_from_manifest(document: Any) -> list[CompileJob]:
-    """Parse a loaded manifest document (mapping or bare job list)."""
+def jobs_from_manifest(document: Any, *, read_files: bool = False) -> list[CompileJob]:
+    """Parse a loaded manifest document (mapping or bare job list).
+
+    ``read_files`` is passed on to :func:`job_from_dict`.
+    """
     if isinstance(document, Mapping):
+        unknown = set(document) - _DOCUMENT_KEYS
+        if unknown:
+            raise ManifestError(f"unknown manifest keys: {', '.join(sorted(unknown))}")
         defaults = document.get("defaults", {})
         job_specs = document.get("jobs")
         if job_specs is None:
@@ -196,7 +220,7 @@ def jobs_from_manifest(document: Any) -> list[CompileJob]:
         if not isinstance(spec, Mapping):
             raise ManifestError(f"manifest job #{index} is not an object")
         try:
-            jobs.append(job_from_dict(spec, defaults=defaults))
+            jobs.append(job_from_dict(spec, defaults=defaults, read_files=read_files))
         except ReproError as exc:
             raise ManifestError(f"manifest job #{index}: {exc}") from exc
     return jobs
@@ -233,15 +257,18 @@ def manifest_document_from_text(text: "str | bytes") -> Any:
 def jobs_from_manifest_text(text: "str | bytes") -> list[CompileJob]:
     """Parse a JSON manifest from raw text (the service request body).
 
-    This is the one request-parsing path shared by the HTTP front-end
-    and JSON file loading: decode, then :func:`jobs_from_manifest`.
+    Decode, then :func:`jobs_from_manifest`, which reads no circuit files.
     Raises :class:`ManifestError` for undecodable or invalid documents.
     """
     return jobs_from_manifest(manifest_document_from_text(text))
 
 
 def load_manifest(path: "Path | str") -> list[CompileJob]:
-    """Read a JSON or YAML manifest file into compile jobs."""
+    """Read a JSON or YAML manifest file into compile jobs.
+
+    The only parse that reads the ``.qasm`` circuit files a manifest names
+    (``repro batch``, whose caller owns those files).
+    """
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest file {path} does not exist")
@@ -254,9 +281,8 @@ def load_manifest(path: "Path | str") -> list[CompileJob]:
                 "YAML manifests need the optional PyYAML dependency; "
                 "install it or use a JSON manifest"
             ) from exc
-        document = yaml.safe_load(text)
-        return jobs_from_manifest(document)
+        return jobs_from_manifest(yaml.safe_load(text), read_files=True)
     try:
-        return jobs_from_manifest_text(text)
+        return jobs_from_manifest(manifest_document_from_text(text), read_files=True)
     except ManifestError as exc:
         raise ManifestError(f"manifest {path}: {exc}") from exc

@@ -9,7 +9,7 @@ structured error payload attached.
 
 The transport **keeps connections alive**: requests run over a small
 pool of persistent :class:`http.client.HTTPConnection` objects instead
-of one ``urllib`` socket per call, so a loadgen worker (or a fleet
+of one ``urllib`` socket per call, so a benchmark client (or a fleet
 router proxying thousands of submissions) pays TCP setup once per
 connection, not once per request.  A response that is read to the end
 returns its connection to the pool; a request that fails on a *reused*
@@ -116,7 +116,7 @@ class ServiceClient:
         self._base_path = parsed.path.rstrip("/")
         self._pool_lock = threading.Lock()
         self._idle: list[http.client.HTTPConnection] = []
-        #: Fresh TCP connections opened (reuse delta shows in loadgen).
+        #: Fresh TCP connections opened; fewer than requests made means reuse.
         self.connections_opened = 0
 
     # ------------------------------------------------------------------

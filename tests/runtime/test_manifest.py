@@ -135,6 +135,29 @@ class TestLoadManifest:
         assert isinstance(job.circuit, QuantumCircuit)
         assert job.circuit.num_qubits == 6
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda path: path.mkdir(),
+            lambda path: path.write_bytes(b"\xff\xfe"),
+            lambda path: path.write_text("not qasm at all"),
+        ],
+        ids=["directory", "not-utf8", "not-qasm"],
+    )
+    def test_unloadable_qasm_circuit_is_a_manifest_error(self, tmp_path, make):
+        make(tmp_path / "x.qasm")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([{"circuit": str(tmp_path / "x.qasm"), "device": "G-2x2"}]))
+        with pytest.raises(ManifestError, match="cannot load circuit file"):
+            load_manifest(path)
+
+    def test_service_parse_reads_no_circuit_file(self, tmp_path):
+        qasm = tmp_path / "ghz.qasm"
+        qasm.write_text(circuit_to_qasm(ghz_circuit(6)))
+        body = json.dumps([{"circuit": str(qasm), "device": "G-2x2"}])
+        with pytest.raises(ManifestError, match="circuit files are read only by repro batch"):
+            jobs_from_manifest_text(body)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ReproError, match="does not exist"):
             load_manifest(tmp_path / "absent.json")
@@ -183,6 +206,12 @@ class TestTypedManifestErrors:
     def test_wrong_document_shape(self):
         with pytest.raises(ManifestError, match="JSON object or a list"):
             jobs_from_manifest("just a string")
+
+    def test_unknown_top_level_keys(self):
+        job = {"circuit": "qft_8", "device": "G-2x2"}
+        document = {"default": {"device": "G-2x2"}, "jobs": [job]}
+        with pytest.raises(ManifestError, match="unknown manifest keys: default"):
+            jobs_from_manifest(document)
 
     @pytest.mark.parametrize("body", ['{"jobs": 3}', '{"jobs": true}'])
     def test_jobs_must_be_a_list(self, body):

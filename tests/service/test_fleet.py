@@ -153,6 +153,8 @@ class TestRoutingAndAggregation:
             b"{not json",
             b'{"jobs": 3}',
             b'{"jobs": [{"circuit": "qft_0", "device": "G-2x2"}]}',
+            b'{"jobs": [{"circuit": "/srv/ghz.qasm", "device": "G-2x2"}]}',
+            b'{"default": {}, "jobs": [{"circuit": "qft_8", "device": "G-2x2"}]}',
         ):
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(body)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -118,10 +120,10 @@ class TestMetricsEndpoint:
         ) >= healthz
 
     def test_latency_histograms_use_tuned_buckets(self, service_stack):
-        # The bucket edges are tuned from the measured distributions in
-        # benchmarks/results/BENCH_service_throughput.json: every loadgen
-        # profile lands in the 3-66 ms band, so the HTTP histogram must
-        # resolve it finer than the default 10/25/50 ms edges.
+        # The bucket edges are tuned from measured service latencies,
+        # which all fell in a 3-66 ms band (see SERVICE_LATENCY_BUCKETS),
+        # so the HTTP histogram must resolve it finer than the default
+        # 10/25/50 ms edges.
         from repro.obs import QUEUE_LATENCY_BUCKETS, SERVICE_LATENCY_BUCKETS
 
         _, client = service_stack
@@ -161,6 +163,49 @@ class TestMetricsEndpoint:
         # submitted + running + done for at least one job.
         assert parsed["repro_journal_events_total"].value() >= 3
         assert parsed["repro_journal_file_bytes"].value() == journal.size_bytes()
+
+    def test_counters_reconcile_with_concurrent_traffic(self, service_stack):
+        # The fixture is shared across the module, so every count is a
+        # delta against one scrape taken before the traffic.
+        _, client = service_stack
+        requests = 8
+
+        def counts():
+            parsed = parse_exposition(client.metrics())
+            routes = [
+                (s.labels_dict()["method"], s.labels_dict()["route"], s.value)
+                for s in parsed["repro_http_requests_total"].samples
+            ]
+            return [
+                sum(v for m, r, v in routes if (m, r) == ("POST", "/v1/jobs")),
+                sum(v for m, r, v in routes if (m, r) == ("GET", "/v1/jobs/{id}/results")),
+                parsed["repro_scheduler_jobs_total"].value(transition="done"),
+                parsed["repro_http_request_seconds"].value(
+                    method="POST", route="/v1/jobs", le="+Inf"
+                ),
+            ]
+
+        def submit_and_drain(index):
+            manifest = {
+                "jobs": [{"circuit": "qft_4", "device": "G-2x2", "label": f"reconcile-{index}"}]
+            }
+            return list(client.stream_results(client.submit(manifest)["job_id"]))[-1]
+
+        before = counts()
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            ends = list(pool.map(submit_and_drain, range(requests)))
+        assert [end["status"] for end in ends] == ["done"] * requests
+
+        # A request is counted after its response body is flushed, so the
+        # client can read the last byte before the handler thread books
+        # it: poll briefly rather than scrape once.
+        deadline = time.monotonic() + 10.0
+        while True:
+            deltas = [after - first for after, first in zip(counts(), before)]
+            if min(deltas) >= requests or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert deltas == [requests] * 4
 
     def test_uptime_counts_upward(self, service_stack):
         _, client = service_stack

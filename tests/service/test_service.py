@@ -289,6 +289,7 @@ class TestErrorPaths:
             ({"capacity": [4, 4, 4, 4]}, "capacity must be an int"),
             ({"capacity": True}, "capacity must be an int"),
             ({"heating": {"k1": float("nan")}}, "NaN is not a finite number"),
+            ({"circuit": "/srv/ghz.qasm"}, "circuit files are read only by repro batch"),
         ],
     )
     def test_ill_typed_job_keys_are_400(self, service_stack, keys, message):
@@ -304,6 +305,16 @@ class TestErrorPaths:
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"jobs": []})
         assert excinfo.value.status == 400
+
+    def test_unknown_top_level_keys_are_400(self, service_stack):
+        _, client = service_stack
+        job = {"circuit": "qft_8", "device": "G-2x2"}
+        document = {"default": {"device": "G-2x2"}, "jobs": [job]}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(document)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"]["type"] == "manifest_error"
+        assert "unknown manifest keys: default" in str(excinfo.value)
 
     @pytest.mark.parametrize("body", [b'{"jobs": 3}', b'{"jobs": true}'])
     def test_jobs_that_are_not_a_list_are_400(self, service_stack, body):
