@@ -28,7 +28,7 @@ from repro.hardware.presets import paper_device
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Untracked (gitignored) home of tables whose values are wall-clock
-#: timings; their tracked numbers live in ``results/BENCH_*.json``.
+#: timings.
 LOCAL_RESULTS_DIR = Path(__file__).parent / "out"
 
 #: Paper-scale workloads of Figs. 8-10: benchmark name -> topologies.

@@ -1,114 +1,87 @@
-"""The compile-time harness rewrites only the sections a run measured.
+"""One run of the compile-time harness writes every section and its gates.
 
 Every measurement function is stubbed, so these tests take milliseconds:
-they pin the write path of ``bench_compile_time.main``, not timings.
+they pin the document ``bench_compile_time.main`` writes and its exit
+code, not timings.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 import bench_compile_time as harness
 
-UNTOUCHED_BY_GATE_ONLY = ("points", "speedups", "baseline", "serialization")
 
-
-def _row(compiler: str, routing_seconds: float) -> dict:
-    device, capacity = harness.GATE_DEVICE
+def _row(compiler: str, routing_seconds: float, circuit: str, size: int) -> dict:
     return {
-        "candidate_evaluations": 1000,
-        "capacity": capacity,
-        "circuit": harness.GATE_CIRCUIT,
         "compiler": compiler,
-        "device": device,
-        "generic_swap_iterations": 100,
-        "metric_compile_seconds_delta": routing_seconds,
+        "circuit": circuit,
+        "size": size,
         "routing_seconds": routing_seconds,
         "seconds": routing_seconds,
-        "size": harness.GATE_SIZE,
     }
 
 
-def _unmeasured(*args, **kwargs):
-    raise AssertionError("this run must not measure that section")
-
-
-@pytest.fixture
-def results_file(tmp_path, monkeypatch):
-    """A copy of the tracked results file, with every measurement stubbed out."""
-    for name in (
-        "measure_points",
-        "measure_backend_points",
-        "measure_gate_point",
-        "measure_serialization",
-    ):
-        monkeypatch.setattr(harness, name, _unmeasured)
-    path = tmp_path / "BENCH_compile_time.json"
-    path.write_text(harness.RESULTS_PATH.read_text())
-    return path
-
-
-def _sections(path) -> dict[str, str]:
-    document = json.loads(path.read_text())
-    return {key: json.dumps(value, indent=2, sort_keys=True) for key, value in document.items()}
-
-
-def test_gate_only_write_keeps_unmeasured_sections_byte_identical(results_file, monkeypatch):
+def _stub(monkeypatch, naive_seconds=9.6, decode_speedup=5.0, entry_size_ratio=4.3) -> None:
     monkeypatch.setattr(
         harness,
         "measure_gate_point",
-        lambda repeats: [_row("s-sync", 0.8), _row("s-sync-naive", 9.6)],
+        lambda: [_row("s-sync", 0.8, "alt", 40), _row("s-sync-naive", naive_seconds, "alt", 40)],
     )
-    before = _sections(results_file)
-    assert harness.main(["--gate-only", "--repeats", "1", "--output", str(results_file)]) == 0
-    after = _sections(results_file)
+    monkeypatch.setattr(harness, "measure_shootout", lambda: [_row("s-sync", 2.5, "qft", 64)])
+    monkeypatch.setattr(
+        harness,
+        "measure_serialization",
+        lambda: {"decode_speedup": decode_speedup, "entry_size_ratio": entry_size_ratio},
+    )
 
-    for section in UNTOUCHED_BY_GATE_ONLY:
-        assert after[section] == before[section], section
-    document = json.loads(results_file.read_text())
-    gate = [
-        speedup
-        for speedup in document["backend_speedups"]
-        if (speedup["circuit"], speedup["size"]) == (harness.GATE_CIRCUIT, harness.GATE_SIZE)
+
+def test_one_run_writes_every_section_and_three_layered_gates(tmp_path, monkeypatch):
+    _stub(monkeypatch)
+    path = tmp_path / "BENCH_compile_time.json"
+    assert harness.main(["--output", str(path)]) == 0
+
+    document = json.loads(path.read_text())
+    assert set(document) == {
+        "format_version", "machine", "gate_point", "shootout", "serialization", "gates"
+    }
+    assert document["format_version"] == 3
+    assert set(document["machine"]) == {"cpu_count", "python", "platform"}
+    assert [row["compiler"] for row in document["gate_point"]] == ["s-sync", "s-sync-naive"]
+    assert [row["circuit"] for row in document["shootout"]] == ["qft"]
+    assert document["gates"] == [
+        {"name": "flat_routing_speedup", "layer": "compiler pass",
+         "value": 12.0, "floor": 6.0, "ok": True},
+        {"name": "binary_decode_speedup", "layer": "artifact",
+         "value": 5.0, "floor": 3.0, "ok": True},
+        {"name": "entry_size_ratio", "layer": "artifact",
+         "value": 4.3, "floor": 2.0, "ok": True},
     ]
-    assert [speedup["speedup_routing"] for speedup in gate] == [12.0]
 
 
-def test_gate_rows_merge_by_key(results_file, monkeypatch):
-    """A second gate-only run replaces its rows and keeps every other row."""
-    committed_rows = json.loads(results_file.read_text())["backend_points"]
-    for naive_seconds in (9.6, 7.2):
-        monkeypatch.setattr(
-            harness,
-            "measure_gate_point",
-            lambda repeats, naive_seconds=naive_seconds: [
-                _row("s-sync", 0.8),
-                _row("s-sync-naive", naive_seconds),
-            ],
-        )
-        assert harness.main(["--gate-only", "--output", str(results_file)]) == 0
-    rows = json.loads(results_file.read_text())["backend_points"]
-    keys = [harness._point_key(row) for row in rows]
-    assert len(keys) == len(set(keys))
-    for row in committed_rows:
-        if row["size"] != harness.GATE_SIZE:
-            assert row in rows
-    naive = [
-        row
-        for row in rows
-        if row["compiler"] == "s-sync-naive" and row["size"] == harness.GATE_SIZE
-    ]
-    assert [row["routing_seconds"] for row in naive] == [7.2]
+@pytest.mark.parametrize(
+    "ratios, failing",
+    [
+        ({"naive_seconds": 4.0}, "flat_routing_speedup"),
+        ({"decode_speedup": 2.99}, "binary_decode_speedup"),
+        ({"entry_size_ratio": 1.9}, "entry_size_ratio"),
+    ],
+)
+def test_a_ratio_below_its_floor_fails_the_run_after_writing(
+    tmp_path, monkeypatch, ratios, failing
+):
+    _stub(monkeypatch, **ratios)
+    path = tmp_path / "BENCH_compile_time.json"
+    assert harness.main(["--output", str(path)]) == 1
+
+    gates = {gate["name"]: gate["ok"] for gate in json.loads(path.read_text())["gates"]}
+    assert [name for name, ok in gates.items() if not ok] == [failing]
 
 
-def test_skip_backend_keeps_backend_sections(results_file, monkeypatch):
-    document = json.loads(results_file.read_text())
-    monkeypatch.setattr(harness, "measure_points", lambda repeats, full: document["points"])
-    monkeypatch.setattr(harness, "measure_serialization", lambda repeats: document["serialization"])
-    before = _sections(results_file)
-    assert harness.main(["--skip-backend", "--output", str(results_file)]) == 0
-    after = _sections(results_file)
-    assert after["backend_points"] == before["backend_points"]
-    assert after["backend_speedups"] == before["backend_speedups"]
+def test_output_is_the_only_option(capsys):
+    with pytest.raises(SystemExit):
+        harness.main(["--help"])
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--output"}

@@ -5,8 +5,8 @@ baseline on QFT, plus S-SYNC across the whole benchmark suite) on the
 G-2x2 topology with trap capacity 20, and asserts that S-SYNC's
 compilation time stays within an interactive budget at every measured
 size.  The table is all wall-clock time, so it is written to the
-untracked ``benchmarks/out/``; the tracked compile-time numbers live in
-``benchmarks/results/BENCH_compile_time.json``.
+untracked ``benchmarks/out/`` and tracked nowhere: perfbench's
+``compile_s`` times fresh compiles of these families against a bound.
 """
 
 from __future__ import annotations

@@ -267,22 +267,37 @@ def load_manifest(path: "Path | str") -> list[CompileJob]:
     """Read a JSON or YAML manifest file into compile jobs.
 
     The only parse that reads the ``.qasm`` circuit files a manifest names
-    (``repro batch``, whose caller owns those files).
+    (``repro batch``, whose caller owns those files).  A file that cannot
+    be read, is not UTF-8 or does not parse raises :class:`ManifestError`
+    naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest file {path} does not exist")
-    text = path.read_text()
-    if path.suffix.lower() in {".yaml", ".yml"}:
-        try:
-            import yaml  # type: ignore[import-untyped]
-        except ImportError as exc:
-            raise ManifestError(
-                "YAML manifests need the optional PyYAML dependency; "
-                "install it or use a JSON manifest"
-            ) from exc
-        return jobs_from_manifest(yaml.safe_load(text), read_files=True)
     try:
-        return jobs_from_manifest(manifest_document_from_text(text), read_files=True)
-    except ManifestError as exc:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix.lower() in {".yaml", ".yml"}:
+            document = _yaml_document(text)
+        else:
+            document = manifest_document_from_text(text)
+        return jobs_from_manifest(document, read_files=True)
+    except (OSError, UnicodeDecodeError, ManifestError) as exc:
         raise ManifestError(f"manifest {path}: {exc}") from exc
+
+
+def _yaml_document(text: str) -> Any:
+    try:
+        import yaml  # type: ignore[import-untyped]
+    except ImportError as exc:
+        raise ManifestError(
+            "YAML manifests need the optional PyYAML dependency; "
+            "install it or use a JSON manifest"
+        ) from exc
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # One line, like a JSON decode error: the problem and where it is.
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or exc
+        raise ManifestError(f"invalid YAML manifest{where}: {problem}") from exc

@@ -40,8 +40,11 @@ split the responsibilities:
   onto the router's shared cache, and dead workers are respawned with
   failover in between (``repro serve --fleet N``).
 
-Start one from the CLI (``python -m repro serve --port 8000``) or
-in-process::
+Start one from the CLI (``python -m repro serve --port 8000``; the
+``--fleet N`` flag starts a fleet), which owns the serve loop: it serves
+until Ctrl-C, turns a fleet router's SIGTERM into the same shutdown, and
+drains and closes the service.  In-process, build the server and drive
+``serve_forever`` yourself::
 
     from repro.service import CompilationService, ServiceClient, make_server
     import threading
@@ -58,12 +61,12 @@ Everything is standard library — no web framework, no new dependencies.
 
 from repro.service.app import CompilationService
 from repro.service.client import ServiceClient
-from repro.service.fleet import FleetRouter, FleetServer, make_fleet, serve_fleet
+from repro.service.fleet import FleetRouter, FleetServer, make_fleet
 from repro.service.jobs import JobStore, ServiceJob, job_batch_id
 from repro.service.journal import JobJournal, compact_journal, replay_journal
 from repro.service.results import ResultStore
 from repro.service.scheduler import ServiceScheduler
-from repro.service.server import ServiceServer, make_server, serve
+from repro.service.server import ServiceServer, make_server
 
 __all__ = [
     "CompilationService",
@@ -81,6 +84,4 @@ __all__ = [
     "make_fleet",
     "make_server",
     "replay_journal",
-    "serve",
-    "serve_fleet",
 ]

@@ -47,7 +47,6 @@ import http.client
 import json
 import logging
 import multiprocessing
-import signal
 import threading
 import time
 from http.server import ThreadingHTTPServer
@@ -927,28 +926,3 @@ def make_fleet(
         raise
     return server
 
-
-def serve_fleet(
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    size: int = 2,
-    **kwargs: Any,
-) -> None:
-    """Run a fleet until interrupted (the ``repro serve --fleet`` path)."""
-    server = make_fleet(host=host, port=port, size=size, **kwargs)
-
-    # Workers are non-daemon processes (they own engine pools), so a bare
-    # SIGTERM to the router must still tear them down or they outlive it.
-    def _terminate(signum: int, frame: Any) -> None:  # pragma: no cover
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.shutdown()
-        server.server_close()
-        server.close()

@@ -464,20 +464,3 @@ def make_server(
         service = CompilationService(**service_kwargs)  # type: ignore[arg-type]
     service.start()
     return ServiceServer((host, port), service)
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    **service_kwargs: object,
-) -> None:
-    """Run a compilation service until interrupted (the CLI entry point)."""
-    server = make_server(host=host, port=port, **service_kwargs)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
-        server.service.close()

@@ -158,6 +158,33 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="circuit files are read only by repro batch"):
             jobs_from_manifest_text(body)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda path: path.mkdir(), lambda path: path.write_bytes(b"\xff\xfe[]")],
+        ids=["directory", "not-utf8"],
+    )
+    def test_unreadable_manifest_is_a_manifest_error(self, tmp_path, make):
+        path = tmp_path / "m.json"
+        make(path)
+        with pytest.raises(ManifestError, match=r"^manifest .*m\.json: "):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("jobs:\n  - circuit: [\n", "invalid YAML manifest at line 3, column 1"),
+            ("jobs:\n  - circuit: qft_4\n    devcie: G-2x2\n", "unknown manifest job keys"),
+        ],
+        ids=["malformed", "bad-job"],
+    )
+    def test_yaml_errors_name_the_file(self, tmp_path, text, message):
+        pytest.importorskip("yaml")
+        path = tmp_path / "m.yaml"
+        path.write_text(text)
+        with pytest.raises(ManifestError, match=r"^manifest .*m\.yaml: ") as raised:
+            load_manifest(path)
+        assert message in str(raised.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ReproError, match="does not exist"):
             load_manifest(tmp_path / "absent.json")

@@ -271,6 +271,40 @@ class TestServiceClientCommands:
         assert "cannot reach" in captured.err
 
 
+
+class TestUnreadableFiles:
+    """A path that names a directory or undecodable bytes is one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "{tmp}/d"],
+            ["submit", "{tmp}/d", "--url", "http://127.0.0.1:9"],
+            ["compile", "{tmp}/d.qasm"],
+            ["compile", "qft_4", "--output", "{tmp}/d"],
+            ["compile", "{tmp}/bad.qasm"],
+            ["batch", "{tmp}/d.json"],
+        ],
+        ids=[
+            "evaluate-directory",
+            "submit-directory",
+            "compile-directory-qasm",
+            "compile-output-directory",
+            "compile-non-utf8-qasm",
+            "batch-directory-manifest",
+        ],
+    )
+    def test_fails_with_one_error_line(self, tmp_path, capsys, argv):
+        for name in ("d", "d.qasm", "d.json"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "bad.qasm").write_bytes(b"\xff\xfe OPENQASM 2.0;")
+        exit_code = main([arg.format(tmp=tmp_path) for arg in argv])
+        err = capsys.readouterr().err
+        assert exit_code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestParser:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
