@@ -244,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         type=Path,
         default=None,
-        help="directory for the on-disk schedule cache (survives restarts)",
+        help="directory for the schedule cache, job journal and result store "
+        "(all survive restarts; without it nothing is kept on disk)",
     )
     serve_parser.add_argument(
         "--max-cache-entries",
@@ -263,22 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         help="seconds to let running jobs finish on shutdown before cancelling",
-    )
-    serve_parser.add_argument(
-        "--no-journal",
-        action="store_true",
-        help="disable the durable job journal (jobs then live in memory only)",
-    )
-    serve_parser.add_argument(
-        "--no-compact",
-        action="store_true",
-        help="keep the full journal event log instead of compacting it after replay",
-    )
-    serve_parser.add_argument(
-        "--journal-max-bytes",
-        type=int,
-        default=None,
-        help="rotate (compact in place) the job journal when it exceeds this size",
     )
     serve_parser.add_argument(
         "--cache-tier",
@@ -633,9 +618,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         workers=workers,
         max_cache_entries=args.max_cache_entries,
         slots=args.slots,
-        journal=not args.no_journal,
-        journal_max_bytes=args.journal_max_bytes,
-        compact=not args.no_compact,
         drain_timeout=args.drain_timeout,
     )
     if args.fleet:

@@ -125,12 +125,7 @@ class ServiceMetrics:
                 "Current size of the job journal file on disk.",
             )
             size.set(journal.size_bytes())
-            rotations = Counter(
-                "repro_journal_rotations_total",
-                "In-place journal rotations (size-triggered compactions).",
-            )
-            rotations.inc(journal.rotations)
-            families.extend((events, written, size, rotations))
+            families.extend((events, written, size))
         return families
 
     def render(self) -> str:

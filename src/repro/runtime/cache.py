@@ -7,7 +7,8 @@ CLI invocations.  :class:`ScheduleCache` memoises compilations keyed by
 the job's compile fingerprint (:meth:`CompileJob.compile_fingerprint`):
 an in-memory LRU serves the hot set, and an optional on-disk store (one
 ``<fingerprint>.sched`` file per fingerprint) makes hits survive process
-restarts.
+restarts.  The on-disk store keeps every entry it is given; only the
+in-memory tier evicts.
 
 Entries store plain data (the binary-encoded schedule, via
 :mod:`repro.schedule.serialize`), never live objects, so a cached result
@@ -25,9 +26,9 @@ The cache is **thread-safe**: an internal lock guards the LRU table and
 the counters, so any number of concurrently running batches (the service
 scheduler runs several at once over one shared cache) can look up, store
 and evict without torn LRU state or corrupted counters.  Disk I/O —
-entry reads, the atomic write, the size-budget sweep — deliberately
-happens *outside* the lock, so one slot faulting an entry in from disk
-never stalls another slot's in-memory hits.
+entry reads and the atomic write — deliberately happens *outside* the
+lock, so one slot faulting an entry in from disk never stalls another
+slot's in-memory hits.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     disk_hits: int = 0
-    disk_evictions: int = 0
     network_hits: int = 0
     network_misses: int = 0
     network_stores: int = 0
@@ -87,7 +87,6 @@ class CacheStats:
             "stores": self.stores,
             "evictions": self.evictions,
             "disk_hits": self.disk_hits,
-            "disk_evictions": self.disk_evictions,
             "network_hits": self.network_hits,
             "network_misses": self.network_misses,
             "network_stores": self.network_stores,
@@ -223,12 +222,6 @@ class ScheduleCache:
         ``<directory>/<fingerprint>.sched`` and memory misses fall back
         to disk (promoting hits back into memory).  An entry file of
         another format version is a miss.
-    max_disk_bytes:
-        Optional byte budget for the on-disk tier.  After every disk
-        write, the least-recently-used entry files (by mtime — disk
-        reads refresh it) are deleted until the tier fits the budget
-        again; the entry just written is never evicted by its own
-        store.  ``None`` (the default) leaves the disk tier unbounded.
     tiers:
         Optional remote tiers (:class:`~repro.runtime.cache_tier.CacheTier`
         instances, e.g. a fleet's shared network cache) consulted after a
@@ -244,24 +237,20 @@ class ScheduleCache:
         self,
         max_entries: int = 256,
         directory: "Path | str | None" = None,
-        max_disk_bytes: int | None = None,
         tiers: "Sequence[Any]" = (),
     ) -> None:
         if max_entries < 1:
             raise ReproError("a schedule cache needs room for at least one entry")
-        if max_disk_bytes is not None and max_disk_bytes < 1:
-            raise ReproError("the disk byte budget must be positive")
         self.max_entries = max_entries
-        self.max_disk_bytes = max_disk_bytes
         self.tiers = tuple(tiers)
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._entries: "OrderedDict[str, CachedCompilation]" = OrderedDict()
         self.stats = CacheStats()
-        # One re-entrant lock guards the LRU table, the counters and the
-        # disk-budget sweep.  Re-entrant because ``get`` promotes disk
-        # entries through ``_insert`` while already holding it.
+        # One re-entrant lock guards the LRU table and the counters.
+        # Re-entrant because ``get`` promotes disk entries through
+        # ``_insert`` while already holding it.
         self._lock = threading.RLock()
         # Bytes serialised to disk, keyed by codec ("binary" for .sched
         # writes, the only codec; the label leaves room for others).
@@ -287,7 +276,7 @@ class ScheduleCache:
         for path in self._entry_paths():
             try:
                 total += path.stat().st_size
-            except OSError:  # pragma: no cover - concurrent eviction
+            except OSError:  # pragma: no cover - removed while listing
                 continue
         return total
 
@@ -356,7 +345,6 @@ class ScheduleCache:
             ("tier",),
         )
         evictions.labels(tier="memory").inc(stats.evictions)
-        evictions.labels(tier="disk").inc(stats.disk_evictions)
         serialized = Counter(
             "repro_serialize_bytes_total",
             "Bytes of cache entries serialised to disk, by codec.",
@@ -428,12 +416,6 @@ class ScheduleCache:
                     self._insert(fingerprint, entry)
                     self.stats.hits += 1
                     self.stats.disk_hits += 1
-                # Refresh the file's recency so size-based eviction
-                # treats disk reads as uses (LRU, not FIFO).
-                try:
-                    os.utime(path)
-                except OSError:  # pragma: no cover - file raced away
-                    pass
                 return entry, "disk"
         entry = self._tier_fetch(fingerprint)
         if entry is not None:
@@ -442,8 +424,8 @@ class ScheduleCache:
                 self.stats.hits += 1
                 self.stats.network_hits += 1
             if self.directory is not None:
-                # Promote into the disk tier so restarts (and the budget
-                # sweep's recency) see the entry as a local citizen.
+                # Promote into the disk tier so restarts see the entry
+                # as a local citizen.
                 self._write_entry_file(self._disk_path(fingerprint), entry)
             return entry, "network"
         with self._lock:
@@ -496,13 +478,13 @@ class ScheduleCache:
 
     def put(
         self, fingerprint: str, entry: CachedCompilation, propagate: bool = True
-    ) -> "tuple[int, int]":
+    ) -> int:
         """Store a compilation under ``fingerprint`` (memory and disk).
 
-        Returns ``(evictions, disk_evictions)`` caused by this store, so
-        a concurrently running batch can attribute the displacement it
+        Returns how many in-memory entries this store evicted, so a
+        concurrently running batch can attribute the displacement it
         triggered to its own run-local statistics.  As with lookups, the
-        disk write and budget sweep run outside the lock.
+        disk write runs outside the lock.
 
         With ``propagate=True`` (the default) the encoded entry is also
         offered to every remote tier, best-effort.  The server side of a
@@ -515,16 +497,9 @@ class ScheduleCache:
             self._insert(fingerprint, entry)
             self.stats.stores += 1
             evictions = self.stats.evictions - evictions_before
-        disk_evictions = 0
         payload: bytes | None = None
         if self.directory is not None:
-            path = self._disk_path(fingerprint)
-            payload = self._write_entry_file(path, entry)
-            if self.max_disk_bytes is not None:
-                disk_evictions = self._enforce_disk_budget(keep=path)
-                if disk_evictions:
-                    with self._lock:
-                        self.stats.disk_evictions += disk_evictions
+            payload = self._write_entry_file(self._disk_path(fingerprint), entry)
         if propagate and self.tiers:
             if payload is None:  # memory-only cache: encode once for the tiers
                 payload = entry.to_bytes()
@@ -535,7 +510,7 @@ class ScheduleCache:
                 else:
                     with self._lock:
                         self.stats.network_errors += 1
-        return evictions, disk_evictions
+        return evictions
 
     def clear(self, disk: bool = False) -> None:
         """Drop the in-memory tier (and the disk tier when ``disk=True``)."""
@@ -556,42 +531,6 @@ class ScheduleCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-    def _enforce_disk_budget(self, keep: Path) -> int:
-        """Delete LRU entry files until the disk tier fits its byte budget.
-
-        ``keep`` (the entry that was just written) is exempt, so a budget
-        smaller than a single entry still leaves the newest one usable.
-        Returns how many entry files were deleted (the caller folds the
-        count into the stats under the lock — this sweep itself runs
-        without it, and concurrent sweeps tolerate each other through
-        the ``OSError`` guards).
-        """
-        assert self.directory is not None and self.max_disk_bytes is not None
-        entries: list[tuple[float, int, Path]] = []
-        total = 0
-        deleted = 0
-        for path in self._entry_paths():
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            total += stat.st_size
-            if path != keep:
-                entries.append((stat.st_mtime, stat.st_size, path))
-        if total <= self.max_disk_bytes:
-            return 0
-        entries.sort()  # oldest mtime first
-        for _, size, path in entries:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            total -= size
-            deleted += 1
-            if total <= self.max_disk_bytes:
-                break
-        return deleted
 
     def _disk_path(self, fingerprint: str) -> Path:
         assert self.directory is not None

@@ -351,10 +351,8 @@ class BatchCompiler:
         def _store_compiled(fingerprint: str, entry: CachedCompilation) -> None:
             nonlocal fresh_seconds
             fresh_seconds += entry.compile_time_s
-            evictions, disk_evictions = self.cache.put(fingerprint, entry)
+            run_stats.evictions += self.cache.put(fingerprint, entry)
             run_stats.stores += 1
-            run_stats.evictions += evictions
-            run_stats.disk_evictions += disk_evictions
             entries[fingerprint] = entry
             from_cache[fingerprint] = False
 

@@ -12,12 +12,16 @@ front-end (and any embedding application) shares:
   the fingerprint-derived job id;
 * a :class:`~repro.service.scheduler.ServiceScheduler` running up to
   ``slots`` submitted batches **concurrently** over the shared engine
-  (priority order, FIFO within priority);
-* optionally a :class:`~repro.service.journal.JobJournal` — a JSON-lines
-  log under the cache directory that makes the job table durable:
-  finished jobs survive restarts, and interrupted ones are resubmitted
-  from their journaled manifests (or marked ``failed`` with a restart
-  error when they cannot be).
+  (priority order, FIFO within priority).
+
+What the service keeps on disk has one policy, set by ``cache_dir``.
+With a cache directory it always keeps a
+:class:`~repro.service.journal.JobJournal` (``jobs.journal.jsonl``),
+compacted once at startup, so finished jobs survive restarts and
+interrupted ones are resubmitted from their journaled manifests (or
+marked ``failed`` with a restart error when they cannot be), and a
+:class:`~repro.service.results.ResultStore` (``results/``) that replays
+finished streams byte-identically.  Without one it keeps nothing on disk.
 
 Outcomes stream through :meth:`ServiceJob.add_outcome` as each
 compilation lands, which is what makes incremental result delivery
@@ -71,9 +75,13 @@ class CompilationService:
     cache:
         An existing :class:`ScheduleCache` to serve and populate.
     cache_dir:
-        Shorthand for a disk-backed cache (ignored when ``cache`` is
-        given), so schedules — and, via the journal, the job table —
-        survive service restarts.
+        The directory that makes the service durable.  It holds the
+        schedule cache's ``.sched`` entries (unless ``cache`` or
+        ``engine`` supplies the cache), the job journal
+        (``jobs.journal.jsonl``) and the result store (``results/``).
+        On construction the journal is replayed, compacted, and every
+        job it left queued or running is resubmitted.  ``None`` keeps
+        everything in memory.
     warm:
         Keep the engine's worker pool alive across submissions (the
         default; disable only for tests of the cold path).
@@ -91,42 +99,6 @@ class CompilationService:
         satisfying the :class:`~repro.runtime.cache_tier.CacheTier`
         protocol.  Attached to the engine's schedule cache, so fleet
         workers pointed at one tier share every compilation.
-    journal_path:
-        Where to keep the JSON-lines job journal.  Defaults to
-        ``<cache_dir>/jobs.journal.jsonl`` when ``cache_dir`` is given;
-        without either there is nothing durable to write to and the
-        journal is disabled.
-    journal:
-        Set ``False`` to disable journaling even with a cache directory.
-    journal_max_bytes:
-        Size threshold above which the journal rotates (compacts) itself
-        in place while the service runs, bounding its disk footprint
-        between restarts.  ``None`` (the default) keeps the old
-        behaviour: the file only shrinks at the next startup compaction.
-    recover:
-        What to do with journaled jobs that were queued/running when the
-        previous process died: ``"resubmit"`` (default) re-parses their
-        journaled manifests and queues them again — with the schedule
-        cache in the same directory the recompilation is typically free —
-        while ``"fail"`` marks them ``failed`` with a restart error.
-        Jobs whose manifest was not journalable always fall back to the
-        failure marker.
-    compact:
-        Compact the journal right after replaying it (the default): the
-        append-only event log is rewritten to only the live/terminal
-        state replay needs, so it stops growing without bound across
-        restarts.  ``repro serve --no-compact`` disables this.
-    results_dir:
-        Where the durable result store keeps each finished job's
-        streamed bytes (``<job_id>.results``).  Defaults to
-        ``<cache_dir>/results`` when ``cache_dir`` is given; with
-        neither, results live only in memory as before.
-    results:
-        Set ``False`` to disable the durable result store even with a
-        cache directory.
-    max_result_bytes:
-        LRU byte budget for finalised result files (``None`` =
-        unbounded).  In-flight streams are never evicted.
     drain_timeout:
         Default bound, in seconds, on how long :meth:`close` waits for
         running batches to finish before cooperatively cancelling them.
@@ -149,19 +121,9 @@ class CompilationService:
         slots: int = 2,
         engine: BatchCompiler | None = None,
         cache_tier: "str | Any | None" = None,
-        journal_path: "Path | str | None" = None,
-        journal: bool = True,
-        journal_max_bytes: int | None = None,
-        recover: str = "resubmit",
-        compact: bool = True,
-        results_dir: "Path | str | None" = None,
-        results: bool = True,
-        max_result_bytes: int | None = None,
         drain_timeout: float | None = 10.0,
         metrics_registry: MetricsRegistry | None = None,
     ) -> None:
-        if recover not in ("resubmit", "fail"):
-            raise ValueError(f"unknown recover policy {recover!r}")
         if engine is None:
             if cache is None:
                 cache = ScheduleCache(
@@ -187,24 +149,20 @@ class CompilationService:
             registry=metrics_registry,
         )
         self.drain_timeout = drain_timeout
-        if journal_path is None and journal and cache_dir is not None:
-            journal_path = Path(cache_dir) / JOURNAL_FILENAME
-        if results_dir is None and results and cache_dir is not None:
-            results_dir = Path(cache_dir) / RESULTS_DIRNAME
         self.results: ResultStore | None = None
-        if results and results_dir is not None:
-            self.results = ResultStore(results_dir, max_disk_bytes=max_result_bytes)
         self.journal: JobJournal | None = None
+        recovered: "list[dict[str, Any]]" = []
+        if cache_dir is not None:
+            self.results = ResultStore(Path(cache_dir) / RESULTS_DIRNAME)
+            journal_path = Path(cache_dir) / JOURNAL_FILENAME
+            recovered = replay_journal(journal_path)
+            compact_journal(journal_path, states=recovered)
+            self.journal = JobJournal(journal_path)
         self._lock = threading.Lock()
         self._closed = False
         self._compilers_cache: "tuple[tuple, list[dict[str, object]]] | None" = None
         self.metrics = ServiceMetrics(self, registry=metrics_registry)
-        if journal and journal_path is not None:
-            recovered = replay_journal(journal_path)
-            if compact:
-                compact_journal(journal_path, states=recovered)
-            self.journal = JobJournal(journal_path, max_bytes=journal_max_bytes)
-            self._recover(recovered, policy=recover)
+        self._recover(recovered)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -264,13 +222,12 @@ class CompilationService:
         theirs — those ids are retryable, and a stale partial stream
         must not shadow the retry.
         """
-        if self.results is not None and transition in TERMINAL_STATUSES:
-            if transition == "done":
-                self.results.finalize(job.job_id, self._encoded_end_line(job))
-            else:
-                self.results.abandon(job.job_id)
         if self.journal is None:
             return
+        if transition == "done":
+            self.results.finalize(job.job_id, self._encoded_end_line(job))
+        elif transition in TERMINAL_STATUSES:
+            self.results.abandon(job.job_id)
         fields: dict[str, Any] = {}
         if transition == "done" and job.summary is not None:
             fields["summary"] = job.summary
@@ -297,7 +254,7 @@ class CompilationService:
             manifest=document,
         )
 
-    def _recover(self, recovered: "list[dict[str, Any]]", policy: str) -> None:
+    def _recover(self, recovered: "list[dict[str, Any]]") -> None:
         """Rebuild the job table from replayed journal states."""
         for state in recovered:
             status = state["status"]
@@ -314,7 +271,7 @@ class CompilationService:
                     started_at=state["started_at"],
                     finished_at=state["finished_at"],
                 )
-                if status == "done" and self.results is not None:
+                if status == "done":
                     # The durable store may hold the job's full original
                     # stream; attaching it makes the results replayable
                     # byte-for-byte with zero recompilation.
@@ -324,7 +281,7 @@ class CompilationService:
             # Interrupted mid-flight.  Resubmit when we can, otherwise
             # record the restart as the failure it was.
             resubmitted = False
-            if policy == "resubmit" and state["manifest"] is not None:
+            if state["manifest"] is not None:
                 try:
                     jobs = jobs_from_manifest(state["manifest"])
                     job = ServiceJob(
@@ -335,6 +292,9 @@ class CompilationService:
                     pass
                 else:
                     self.store.put(job)
+                    # Stored like any submission, so the next restart
+                    # can serve the re-run's stream too.
+                    job.on_encoded_line = self.results.open_writer(job.job_id).append
                     self.scheduler.submit(job)
                     resubmitted = True
             if not resubmitted:
@@ -353,8 +313,7 @@ class CompilationService:
                     started_at=state["started_at"],
                 )
                 self.store.put(failed)
-                if self.journal is not None:
-                    self.journal.append("failed", failed.job_id, error=failed.error)
+                self.journal.append("failed", failed.job_id, error=failed.error)
 
     # ------------------------------------------------------------------
     # submission
@@ -641,7 +600,6 @@ class CompilationService:
                 "path": str(self.journal.path),
                 "size_bytes": self.journal.size_bytes(),
                 "events_appended": self.journal.events_appended,
-                "rotations": self.journal.rotations,
             }
         results: "dict[str, object] | None" = None
         if self.results is not None:
@@ -651,7 +609,6 @@ class CompilationService:
                 "disk_bytes": self.results.disk_bytes(),
                 "stores": self.results.stores,
                 "replays": self.results.replays,
-                "evictions": self.results.evictions,
             }
         return {
             "status": "ok",

@@ -68,11 +68,7 @@ from repro.runtime.cache import CachedCompilation, ScheduleCache
 from repro.runtime.manifest import jobs_from_manifest, manifest_document_from_text
 from repro.service.client import ServiceClient
 from repro.service.jobs import job_batch_id
-from repro.service.server import (
-    MAX_BODY_BYTES,
-    ServiceRequestHandler,
-    _route_template,
-)
+from repro.service.server import ServiceRequestHandler, _route_template
 
 logger = logging.getLogger("repro.service.fleet")
 
@@ -732,35 +728,13 @@ class FleetRequestHandler(ServiceRequestHandler):
         self._send_error_json(status, "upstream_error", str(exc))
 
     def _handle_submit(self, query: dict[str, list[str]]) -> None:
-        def reject(status: int, error_type: str, message: str) -> None:
-            self.close_connection = True
-            self._send_error_json(status, error_type, message)
-
         try:
             priority = self._int_query(query, "priority", 0)
         except ValueError:
-            return reject(400, "bad_query", "priority must be an integer")
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            return reject(
-                411, "length_required", "POST /v1/jobs needs a Content-Length header"
-            )
-        try:
-            length = int(length_header)
-        except ValueError:
-            return reject(
-                400, "bad_request", f"invalid Content-Length {length_header!r}"
-            )
-        if length < 0:
-            return reject(400, "bad_request", "Content-Length cannot be negative")
-        if length > MAX_BODY_BYTES:
-            return reject(
-                413,
-                "payload_too_large",
-                f"manifest bodies are capped at {MAX_BODY_BYTES} bytes",
-            )
-        body = self.rfile.read(length)
-        self.close_connection = False
+            return self._reject(400, "bad_query", "priority must be an integer")
+        body = self._read_body("POST /v1/jobs", "manifest bodies")
+        if body is None:
+            return
         try:
             receipt = self.router.submit(body, priority=priority or 0)
         except ManifestError as exc:
@@ -800,28 +774,9 @@ class FleetRequestHandler(ServiceRequestHandler):
         self.wfile.write(payload)
 
     def _handle_cache_put(self, fingerprint: str) -> None:
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            self.close_connection = True
-            return self._send_error_json(
-                411, "length_required", "PUT /v1/cache needs a Content-Length header"
-            )
-        try:
-            length = int(length_header)
-        except ValueError:
-            self.close_connection = True
-            return self._send_error_json(
-                400, "bad_request", f"invalid Content-Length {length_header!r}"
-            )
-        if length < 0 or length > MAX_BODY_BYTES:
-            self.close_connection = True
-            return self._send_error_json(
-                413,
-                "payload_too_large",
-                f"cache entries are capped at {MAX_BODY_BYTES} bytes",
-            )
-        body = self.rfile.read(length)
-        self.close_connection = False
+        body = self._read_body("PUT /v1/cache", "cache entries")
+        if body is None:
+            return
         if not self.router.cache_store_bytes(fingerprint, body):
             return self._send_error_json(
                 400, "bad_entry", "body is not a current-format binary cache entry"

@@ -15,17 +15,16 @@ id) and rebuilds its job table:
   resubmitted from their journaled manifest document — recompilation is
   then typically free, because the schedule cache lives in the same
   directory — or marked ``failed("restart")`` when the manifest was not
-  journalable (submissions carrying live Python objects) or the service
-  was configured not to retry.
+  journalable (submissions carrying live Python objects) or no longer
+  parses.
 
 The format is append-only and crash-tolerant: a torn final line (the
 process died mid-write) is ignored on replay, and every line carries a
 ``"v"`` format marker so future versions can skip records they do not
-understand instead of refusing the whole file.  Because append-only
-grows without bound, the service **compacts** the file right after
-replay on every startup (:func:`compact_journal`, disable with
-``repro serve --no-compact``): the event log is rewritten to only the
-live/terminal state replay actually needs.
+understand instead of refusing the whole file.  While the service runs
+the file only grows; the service **compacts** it right after replay on
+every startup (:func:`compact_journal`): the event log is rewritten to
+only the live/terminal state replay actually needs.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class JobJournal:
     acknowledged transition.
     """
 
-    def __init__(self, path: "Path | str", max_bytes: "int | None" = None) -> None:
+    def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
@@ -62,19 +61,6 @@ class JobJournal:
         # these instead of re-scanning the file.
         self.events_appended = 0
         self.bytes_written = 0
-        #: Size threshold (bytes) above which :meth:`append` rotates the
-        #: file in place: replay → compact → reopen.  ``None`` disables
-        #: rotation (the startup compaction is then the only trim).
-        self.max_bytes = max_bytes
-        #: In-place rotations performed by this instance
-        #: (``repro_journal_rotations_total`` on ``/v1/metrics``).
-        self.rotations = 0
-        # Thrash guard: when live state alone exceeds ``max_bytes``,
-        # compaction cannot shrink below the threshold — without this,
-        # every subsequent append would pay a full rewrite.  Rotation
-        # requires at least ``max_bytes // 2`` fresh bytes since the
-        # last one.
-        self._bytes_since_rotate = 0
 
     def size_bytes(self) -> int:
         """Current on-disk size of the journal file (0 when missing)."""
@@ -108,34 +94,6 @@ class JobJournal:
             self._file.flush()
             self.events_appended += 1
             self.bytes_written += len(line) + 1
-            self._bytes_since_rotate += len(line) + 1
-            if (
-                self.max_bytes is not None
-                and self._bytes_since_rotate > self.max_bytes // 2
-                and self.size_bytes() > self.max_bytes
-            ):
-                self._rotate_locked()
-
-    def _rotate_locked(self) -> None:
-        """Compact the file in place while the service keeps running.
-
-        Called with the lock held: the append handle is closed, the log
-        is folded and rewritten (atomic temp + replace, like the startup
-        compaction), and a fresh append handle is opened on the
-        compacted file.  Appends from other threads simply queue on the
-        lock for the few milliseconds this takes.  A rewrite failure is
-        swallowed — the original journal is intact (the replace is
-        atomic) and the only cost is retrying at the next threshold.
-        """
-        self._file.close()
-        try:
-            compact_journal(self.path)
-            self.rotations += 1
-        except OSError:
-            pass
-        finally:
-            self._file = self.path.open("a", encoding="utf-8")
-            self._bytes_since_rotate = 0
 
     def flush(self) -> None:
         with self._lock:
@@ -226,8 +184,8 @@ def replay_journal(path: "Path | str") -> "list[dict[str, Any]]":
             continue
         state = states.get(job_id)
         if state is None:
-            # A transition without its submission (journal truncated at
-            # the head, e.g. rotated): nothing to rebuild from.
+            # A transition without its submission (a journal truncated
+            # at the head): nothing to rebuild from.
             continue
         if event == "running":
             state["status"] = "running"

@@ -12,16 +12,10 @@ the file can serve it.
 
 Files are keyed by the job's fingerprint-derived id, so the store is
 content-addressed the same way the schedule cache is: a byte-identical
-resubmission maps to the same file.
-
-Eviction follows the schedule cache's ``max_disk_bytes`` discipline:
-after each finalisation, least-recently-used ``.results`` files (by
-mtime — replays refresh it) are deleted until the store fits its
-budget.  Only **finalised** files are candidates: an actively-streaming
-job's ``.part`` file is never considered, so GC cannot yank a stream
-out from under a writer.  Stale ``.part`` files from a previous process
-are removed at startup — their jobs are resubmitted from the journal
-anyway.
+resubmission maps to the same file.  The store keeps every finished
+stream; like the schedule cache's ``.sched`` files, nothing is evicted.
+Stale ``.part`` files from a previous process are removed at startup —
+their jobs are resubmitted from the journal anyway.
 
 Failed and cancelled jobs are *abandoned*, not stored: their ids are
 retryable, so keeping a partial stream would shadow the retry's fresh
@@ -30,19 +24,16 @@ results.
 
 from __future__ import annotations
 
-import os
 import threading
 from pathlib import Path
 from typing import Any
-
-from repro.exceptions import ReproError
 
 __all__ = ["ResultStore", "ResultWriter"]
 
 #: Suffix of a finalised (complete, servable) result file.
 RESULT_SUFFIX = ".results"
 
-#: Suffix of an in-flight stream (never served, never evicted).
+#: Suffix of an in-flight stream (never served).
 PART_SUFFIX = ".part"
 
 
@@ -101,32 +92,20 @@ class ResultWriter:
 
 
 class ResultStore:
-    """Content-addressed result files under one directory, with LRU GC.
+    """Content-addressed result files under one directory.
 
-    Parameters
-    ----------
-    directory:
-        Where the ``<job_id>.results`` files live (created if missing).
-    max_disk_bytes:
-        Byte budget over the **finalised** files; ``None`` leaves the
-        store unbounded.  In-flight ``.part`` files never count and are
-        never evicted.
+    ``directory`` is where the ``<job_id>.results`` files live (created
+    if missing).
     """
 
-    def __init__(
-        self, directory: "Path | str", max_disk_bytes: "int | None" = None
-    ) -> None:
-        if max_disk_bytes is not None and max_disk_bytes < 1:
-            raise ReproError("the result-store byte budget must be positive")
+    def __init__(self, directory: "Path | str") -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_disk_bytes = max_disk_bytes
         self._lock = threading.Lock()
         self._writers: dict[str, ResultWriter] = {}
         # Counters mirrored into metrics by the scrape-time collector.
         self._bytes_written = 0
         self.stores = 0
-        self.evictions = 0
         self.replays = 0
         self.abandoned = 0
         # A previous process's in-flight streams are unfinishable.
@@ -150,20 +129,11 @@ class ResultStore:
         return writer
 
     def finalize(self, job_id: str, end_line: bytes) -> None:
-        """Seal a finished job's stream and enforce the byte budget."""
+        """Seal a finished job's stream."""
         with self._lock:
             writer = self._writers.pop(job_id, None)
-        if writer is None:
-            return
-        final = writer.finish(end_line)
-        if final is None:
-            return
-        self.stores += 1
-        if self.max_disk_bytes is not None:
-            evicted = self._enforce_budget(keep=final)
-            if evicted:
-                with self._lock:
-                    self.evictions += evicted
+        if writer is not None and writer.finish(end_line) is not None:
+            self.stores += 1
 
     def abandon(self, job_id: str) -> None:
         """Drop the partial stream of a failed/cancelled job."""
@@ -190,23 +160,16 @@ class ResultStore:
     def load(self, job_id: str) -> "list[bytes] | None":
         """The stored stream as its original lines, or ``None``.
 
-        Refreshes the file's mtime, so replays count as uses under the
-        LRU budget (a frequently re-fetched job outlives a colder one).
         The returned lines include the terminal ``end`` line and carry
         no trailing newlines — exactly what the streaming transport
         appends per line.
         """
-        path = self.result_path(job_id)
         try:
-            raw = path.read_bytes()
+            raw = self.result_path(job_id).read_bytes()
         except OSError:
             return None
         if not raw.endswith(b"\n"):  # torn finalisation; unservable
             return None
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - raced with eviction
-            pass
         with self._lock:
             self.replays += 1
         return raw[:-1].split(b"\n")
@@ -221,7 +184,7 @@ class ResultStore:
         for path in self.directory.glob(f"*{RESULT_SUFFIX}"):
             try:
                 total += path.stat().st_size
-            except OSError:  # pragma: no cover - concurrent eviction
+            except OSError:  # pragma: no cover - removed while listing
                 continue
         return total
 
@@ -242,7 +205,6 @@ class ResultStore:
         )
         events.labels(kind="store").inc(self.stores)
         events.labels(kind="replay").inc(self.replays)
-        events.labels(kind="eviction").inc(self.evictions)
         events.labels(kind="abandon").inc(self.abandoned)
         written = Counter(
             "repro_result_store_bytes_written_total",
@@ -258,38 +220,3 @@ class ResultStore:
         )
         size.set(self.disk_bytes())
         return [events, written, files, size]
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _enforce_budget(self, keep: Path) -> int:
-        """Delete LRU ``.results`` files until the budget fits.
-
-        Mirrors :meth:`ScheduleCache._enforce_disk_budget`: mtime-ordered,
-        the just-finalised file exempt, ``.part`` files invisible.
-        """
-        assert self.max_disk_bytes is not None
-        candidates: list[tuple[float, int, Path]] = []
-        total = 0
-        deleted = 0
-        for path in self.directory.glob(f"*{RESULT_SUFFIX}"):
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            total += stat.st_size
-            if path != keep:
-                candidates.append((stat.st_mtime, stat.st_size, path))
-        if total <= self.max_disk_bytes:
-            return 0
-        candidates.sort()
-        for _, size, path in candidates:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            total -= size
-            deleted += 1
-            if total <= self.max_disk_bytes:
-                break
-        return deleted

@@ -143,6 +143,45 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             {"error": {"type": error_type, "message": message, "status": status}},
         )
 
+    def _reject(self, status: int, error_type: str, message: str) -> None:
+        """Answer an error before the request body was read.
+
+        On a keep-alive connection the unread body bytes would be parsed
+        as the next request line, so the connection closes too.
+        """
+        self.close_connection = True
+        self._send_error_json(status, error_type, message)
+
+    def _read_body(self, request: str, noun: str) -> "bytes | None":
+        """The request body, read by its ``Content-Length`` header.
+
+        Returns ``None`` after answering the refusal: 411 without the
+        header, 400 when it is not a non-negative integer, 413 past
+        :data:`MAX_BODY_BYTES`.  ``request`` (``"POST /v1/jobs"``) and
+        ``noun`` (``"manifest bodies"``) name the route and its body in
+        the messages.
+        """
+        length_header = self.headers.get("Content-Length")
+        if length_header is None:
+            self._reject(411, "length_required", f"{request} needs a Content-Length header")
+            return None
+        try:
+            length = int(length_header)
+        except ValueError:
+            self._reject(400, "bad_request", f"invalid Content-Length {length_header!r}")
+            return None
+        if length < 0:
+            self._reject(400, "bad_request", "Content-Length cannot be negative")
+            return None
+        if length > MAX_BODY_BYTES:
+            self._reject(
+                413, "payload_too_large", f"{noun} are capped at {MAX_BODY_BYTES} bytes"
+            )
+            return None
+        body = self.rfile.read(length)
+        self.close_connection = False  # body consumed; keep-alive is safe again
+        return body
+
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
@@ -277,39 +316,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _handle_submit(self, query: dict[str, list[str]]) -> None:
-        # Every early rejection below happens before the request body is
-        # read.  On a keep-alive connection the unread body bytes would
-        # be parsed as the next request line, so these responses must
-        # also close the connection.
-        def reject(status: int, error_type: str, message: str) -> None:
-            self.close_connection = True
-            self._send_error_json(status, error_type, message)
-
         try:
             priority = self._int_query(query, "priority", 0)
         except ValueError:
-            return reject(400, "bad_query", "priority must be an integer")
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            return reject(
-                411, "length_required", "POST /v1/jobs needs a Content-Length header"
-            )
-        try:
-            length = int(length_header)
-        except ValueError:
-            return reject(
-                400, "bad_request", f"invalid Content-Length {length_header!r}"
-            )
-        if length < 0:
-            return reject(400, "bad_request", "Content-Length cannot be negative")
-        if length > MAX_BODY_BYTES:
-            return reject(
-                413,
-                "payload_too_large",
-                f"manifest bodies are capped at {MAX_BODY_BYTES} bytes",
-            )
-        body = self.rfile.read(length)
-        self.close_connection = False  # body consumed; keep-alive is safe again
+            return self._reject(400, "bad_query", "priority must be an integer")
+        body = self._read_body("POST /v1/jobs", "manifest bodies")
+        if body is None:
+            return
         job, resubmitted = self.service.submit_text(body, priority=priority)
         self._send_json(
             200 if resubmitted else 202,
@@ -361,26 +374,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _handle_cache_put(self, fingerprint: str) -> None:
         """Accept one RCEN entry body into the local cache (network-tier PUT)."""
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            self.close_connection = True
-            return self._send_error_json(
-                411, "length_required", "PUT /v1/cache needs a Content-Length header"
-            )
-        try:
-            length = int(length_header)
-        except ValueError:
-            self.close_connection = True
-            return self._send_error_json(
-                400, "bad_request", f"invalid Content-Length {length_header!r}"
-            )
-        if length < 0 or length > MAX_BODY_BYTES:
-            self.close_connection = True
-            return self._send_error_json(
-                413, "payload_too_large", f"cache entries are capped at {MAX_BODY_BYTES} bytes"
-            )
-        body = self.rfile.read(length)
-        self.close_connection = False  # body consumed; keep-alive is safe again
+        body = self._read_body("PUT /v1/cache", "cache entries")
+        if body is None:
+            return
         if not self.service.cache_store_bytes(fingerprint, body):
             return self._send_error_json(
                 400, "bad_entry", "body is not a current-format binary cache entry"

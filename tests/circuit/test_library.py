@@ -241,7 +241,6 @@ class TestSuite:
         with pytest.raises(CircuitError):
             benchmark_spec("qft_128")
 
-    @pytest.mark.slow
     def test_full_paper_suite_gate_counts_close(self):
         suite = paper_benchmark_suite()
         for spec in PAPER_BENCHMARKS:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -31,7 +30,6 @@ class TestMemoryTier:
             "stores": 1,
             "evictions": 0,
             "disk_hits": 0,
-            "disk_evictions": 0,
             "network_hits": 0,
             "network_misses": 0,
             "network_stores": 0,
@@ -100,65 +98,6 @@ class TestDiskTier:
         cache.put("fp", entry)
         cache.clear(disk=True)
         assert ScheduleCache(directory=tmp_path).get("fp") is None
-
-
-class TestDiskBudget:
-    """Satellite: size-bounded on-disk eviction (LRU by mtime)."""
-
-    def _entry_bytes(self, tmp_path, entry) -> int:
-        probe = ScheduleCache(directory=tmp_path / "probe")
-        probe.put("probe", entry)
-        return (tmp_path / "probe" / "probe.sched").stat().st_size
-
-    def test_budget_must_be_positive(self, tmp_path):
-        with pytest.raises(ReproError):
-            ScheduleCache(directory=tmp_path, max_disk_bytes=0)
-
-    def test_unbounded_by_default(self, tmp_path, entry):
-        cache = ScheduleCache(directory=tmp_path)
-        for i in range(6):
-            cache.put(f"fp{i}", entry)
-        assert len(list(tmp_path.glob("*.sched"))) == 6
-        assert cache.stats.disk_evictions == 0
-
-    def test_oldest_entries_evicted_beyond_budget(self, tmp_path, entry):
-        size = self._entry_bytes(tmp_path, entry)
-        cache = ScheduleCache(directory=tmp_path, max_disk_bytes=3 * size)
-        for i in range(5):
-            cache.put(f"fp{i}", entry)
-            os.utime(tmp_path / f"fp{i}.sched", (1_000_000 + i, 1_000_000 + i))
-        kept = sorted(p.stem for p in tmp_path.glob("*.sched"))
-        assert kept == ["fp2", "fp3", "fp4"]
-        assert cache.stats.disk_evictions == 2
-
-    def test_newest_entry_survives_a_tiny_budget(self, tmp_path, entry):
-        cache = ScheduleCache(directory=tmp_path, max_disk_bytes=1)
-        cache.put("first", entry)
-        cache.put("second", entry)
-        kept = [p.stem for p in tmp_path.glob("*.sched")]
-        assert kept == ["second"]
-
-    def test_disk_read_refreshes_recency(self, tmp_path, entry):
-        size = self._entry_bytes(tmp_path, entry)
-        cache = ScheduleCache(directory=tmp_path, max_disk_bytes=2 * size)
-        cache.put("old", entry)
-        cache.put("mid", entry)
-        os.utime(tmp_path / "old.sched", (1_000_000, 1_000_000))
-        os.utime(tmp_path / "mid.sched", (1_000_001, 1_000_001))
-        # A disk hit on the oldest entry makes it the most recent...
-        reader = ScheduleCache(directory=tmp_path, max_disk_bytes=2 * size)
-        assert reader.get("old") is not None
-        # ...so the next store evicts "mid" instead.
-        reader.put("new", entry)
-        kept = sorted(p.stem for p in tmp_path.glob("*.sched"))
-        assert "old" in kept and "new" in kept and "mid" not in kept
-
-    def test_eviction_survives_cache_restarts(self, tmp_path, entry):
-        size = self._entry_bytes(tmp_path, entry)
-        for i in range(6):
-            cache = ScheduleCache(directory=tmp_path, max_disk_bytes=2 * size)
-            cache.put(f"fp{i}", entry)
-        assert len(list(tmp_path.glob("*.sched"))) <= 2
 
 
 class TestEntryFormat:

@@ -28,7 +28,7 @@ def entry() -> CachedCompilation:
 @pytest.fixture()
 def tier_server(tmp_path):
     """A service whose /v1/cache endpoints back an HttpCacheTier."""
-    server = make_server(workers=1, port=0, cache_dir=tmp_path, journal=False)
+    server = make_server(workers=1, port=0, cache_dir=tmp_path)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server

@@ -13,7 +13,7 @@ from repro.service.server import make_server
 
 @pytest.fixture()
 def server(tmp_path):
-    server = make_server(workers=1, port=0, cache_dir=tmp_path, journal=False)
+    server = make_server(workers=1, port=0, cache_dir=tmp_path)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server

@@ -14,6 +14,7 @@ read-only tests.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -159,6 +160,17 @@ class TestRoutingAndAggregation:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(body)
             assert excinfo.value.status == 400
+        # A negative Content-Length is refused before any body is read.
+        hostname, port = server.url.removeprefix("http://").rsplit(":", 1)
+        for method, path in (("POST", "/v1/jobs"), ("PUT", "/v1/cache/" + "ab" * 32)):
+            connection = http.client.HTTPConnection(hostname, int(port), timeout=10)
+            try:
+                connection.putrequest(method, path)
+                connection.putheader("Content-Length", "-1")
+                connection.endheaders()
+                assert connection.getresponse().status == 400
+            finally:
+                connection.close()
 
 
 class _LiveProcess:

@@ -1,4 +1,4 @@
-"""Journal compaction tests: the rewrite, the replay parity, the flag.
+"""Journal compaction tests: the rewrite, the replay parity, the startup.
 
 ``compact_journal`` rewrites the append-only event log into the minimal
 events replay needs; the invariant under test throughout is that
@@ -163,25 +163,6 @@ class TestServiceStartupCompaction:
         finally:
             restarted.close(drain_timeout=WAIT)
 
-    def test_no_compact_keeps_the_event_log(self, tmp_path):
-        with CompilationService(workers=1, cache_dir=tmp_path, warm=False) as service:
-            job, _ = service.submit_document(manifest("qft_8", "keep-log"))
-            wait_until(lambda: job.finished)
-            journal_path = service.journal.path
-        with JobJournal(journal_path) as journal:
-            append_full_lifecycle(journal, "ab" * 8, extra_events=5)
-        size_before = journal_path.stat().st_size
-
-        preserved = CompilationService(
-            workers=1, cache_dir=tmp_path, warm=False, compact=False
-        )
-        try:
-            # Untouched on startup: the escape hatch for operators who
-            # treat the journal as an audit log.
-            assert journal_path.stat().st_size >= size_before
-        finally:
-            preserved.close(drain_timeout=WAIT)
-
     def test_new_events_append_after_compaction(self, tmp_path):
         with CompilationService(workers=1, cache_dir=tmp_path, warm=False) as service:
             job, _ = service.submit_document(manifest("qft_8", "first"))
@@ -199,75 +180,11 @@ class TestServiceStartupCompaction:
         assert set(states.values()) == {"done"}
 
 
-class TestJournalRotation:
-    """Size-triggered in-place rotation (``max_bytes``) while appending."""
-
-    def test_rotation_compacts_in_place_and_preserves_replay(self, tmp_path):
-        path = tmp_path / "jobs.journal.jsonl"
-        with JobJournal(path, max_bytes=4096) as journal:
-            # Superseded lifecycles are pure bloat: rotation folds them
-            # away without losing any job's final state.
-            for index in range(8):
-                append_full_lifecycle(journal, f"{index:016x}", extra_events=6)
-            assert journal.rotations >= 1
-            assert journal.size_bytes() <= journal.bytes_written
-        states = {s["job_id"]: s["status"] for s in replay_journal(path)}
-        assert states == {f"{index:016x}": "done" for index in range(8)}
-        # And the file stayed usable for appends after each rotation.
-        assert path.stat().st_size > 0
-
-    def test_no_rotation_without_max_bytes(self, tmp_path):
+class TestJournalAppend:
+    def test_appends_never_rewrite_the_file(self, tmp_path):
         path = tmp_path / "jobs.journal.jsonl"
         with JobJournal(path) as journal:
             for index in range(4):
                 append_full_lifecycle(journal, f"{index:016x}", extra_events=6)
-            assert journal.rotations == 0
             # Append-only: every byte written is still on disk.
             assert journal.size_bytes() == journal.bytes_written
-
-    def test_thrash_guard_bounds_rotation_frequency(self, tmp_path):
-        """Live state bigger than the threshold must not rotate per append."""
-        path = tmp_path / "jobs.journal.jsonl"
-        with JobJournal(path, max_bytes=512) as journal:
-            # ~8 distinct done jobs exceed 512 bytes even fully compacted,
-            # so the file can never shrink below max_bytes.
-            for index in range(8):
-                append_full_lifecycle(journal, f"{index:016x}")
-            appends = journal.events_appended
-            rotations = journal.rotations
-            # Each rotation needed at least max_bytes//2 fresh bytes, so
-            # the count is far below one-per-append.
-            assert rotations < appends / 2
-
-    def test_service_rotates_mid_run_and_counts_it(self, tmp_path):
-        service = CompilationService(
-            workers=1,
-            cache_dir=tmp_path,
-            warm=False,
-            journal_max_bytes=1024,
-        )
-        try:
-            jobs = []
-            for index in range(6):
-                job, _ = service.submit_document(
-                    manifest("qft_4", f"rotate-{index}")
-                )
-                jobs.append(job)
-            wait_until(lambda: all(job.finished for job in jobs))
-            assert service.journal.rotations >= 1
-            assert service.health_payload()["journal"]["rotations"] >= 1
-            exposition = service.metrics.render()
-            assert "repro_journal_rotations_total" in exposition
-            journal_path = service.journal.path
-        finally:
-            service.close(drain_timeout=WAIT)
-
-        # A restart rebuilds every job from the rotated journal.
-        restarted = CompilationService(workers=1, cache_dir=tmp_path, warm=False)
-        try:
-            for job in jobs:
-                replayed = restarted.store.get(job.job_id)
-                assert replayed is not None and replayed.status == "done"
-            assert replay_journal(journal_path)
-        finally:
-            restarted.close(drain_timeout=WAIT)

@@ -1,9 +1,8 @@
-"""The durable result store: streamed persistence, replay, GC discipline.
+"""The durable result store: streamed persistence and replay.
 
 The contract: a finished job's ``GET /v1/jobs/<id>/results`` stream is
 byte-identical across a full service restart, served from the store with
-zero recompilation; failed/cancelled jobs leave nothing behind; and the
-LRU byte budget can never evict a stream that is still being written.
+zero recompilation, and failed/cancelled jobs leave nothing behind.
 """
 
 from __future__ import annotations
@@ -64,50 +63,6 @@ class TestResultStoreUnit:
         store = ResultStore(tmp_path)
         assert not (tmp_path / "deadbeefdeadbeef.part").exists()
         assert store.load("cafecafecafecafe") == [b'{"ok": 1}']
-
-    def test_budget_evicts_lru_finalized_files_only(self, tmp_path):
-        line = b"x" * 100
-        store = ResultStore(tmp_path, max_disk_bytes=250)
-        for index, job_id in enumerate(("aa" * 8, "bb" * 8, "cc" * 8)):
-            writer = store.open_writer(job_id)
-            writer.append(line)
-            store.finalize(job_id, b"end")
-            time.sleep(0.02)  # distinct mtimes for deterministic LRU order
-        # ~105 bytes per file; three don't fit in 250, oldest goes.
-        assert store.load("aa" * 8) is None
-        assert store.load("bb" * 8) is not None
-        assert store.load("cc" * 8) is not None
-        assert store.evictions == 1
-
-    def test_gc_never_touches_an_actively_streaming_job(self, tmp_path):
-        store = ResultStore(tmp_path, max_disk_bytes=150)
-        streaming = store.open_writer("dd" * 8)
-        streaming.append(b"y" * 500)  # far over budget, still in flight
-        writer = store.open_writer("ee" * 8)
-        writer.append(b"x" * 100)
-        store.finalize("ee" * 8, b"end")
-        # The in-flight .part was not a candidate: it is intact, and the
-        # finalized file (keep-exempt) survived too.
-        assert streaming.path.exists()
-        assert store.load("ee" * 8) is not None
-        store.finalize("dd" * 8, b"end")
-        assert store.load("dd" * 8) is not None  # keep-exempt at its own seal
-
-    def test_replay_refreshes_recency(self, tmp_path):
-        store = ResultStore(tmp_path, max_disk_bytes=250)
-        for job_id in ("aa" * 8, "bb" * 8):
-            writer = store.open_writer(job_id)
-            writer.append(b"x" * 100)
-            store.finalize(job_id, b"end")
-            time.sleep(0.02)
-        time.sleep(0.02)
-        assert store.load("aa" * 8) is not None  # touch the older one
-        writer = store.open_writer("cc" * 8)
-        writer.append(b"x" * 100)
-        store.finalize("cc" * 8, b"end")
-        # bb is now the least recently used and pays for the new entry.
-        assert store.load("bb" * 8) is None
-        assert store.load("aa" * 8) is not None
 
     def test_torn_final_file_is_unservable(self, tmp_path):
         (tmp_path / ("ab" * 8 + ".results")).write_bytes(b'{"no": "newline"}')

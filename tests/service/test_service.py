@@ -373,6 +373,25 @@ class TestErrorPaths:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize(
+        "method, path", [("POST", "/v1/jobs"), ("PUT", "/v1/cache/" + "ab" * 32)]
+    )
+    def test_negative_content_length_is_400(self, service_stack, method, path):
+        _, client = service_stack
+        host = client.base_url.removeprefix("http://")
+        hostname, port = host.rsplit(":", 1)
+        connection = http.client.HTTPConnection(hostname, int(port), timeout=10)
+        try:
+            connection.putrequest(method, path)
+            connection.putheader("Content-Length", "-1")
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            payload = json.loads(response.read().decode())
+            assert payload["error"]["type"] == "bad_request"
+        finally:
+            connection.close()
+
     def test_wrong_method_is_405(self, service_stack):
         _, client = service_stack
         with pytest.raises(ServiceError) as excinfo:

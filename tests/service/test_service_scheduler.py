@@ -270,19 +270,15 @@ class TestJournalReplay:
             restarted.close(drain_timeout=WAIT)
 
     def test_restart_without_result_store_reruns_from_schedule_cache(self, tmp_path):
-        """The pre-store behaviour, still the contract when results=False:
-        a replayed terminal job lost its stream, so resubmission re-runs
-        (served from the disk schedule cache, compilations=0)."""
-        with CompilationService(
-            workers=1, cache_dir=tmp_path, warm=False, results=False
-        ) as service:
+        """A replayed terminal job whose stored stream is gone re-runs on
+        resubmission (served from the disk schedule cache, compilations=0)."""
+        with CompilationService(workers=1, cache_dir=tmp_path, warm=False) as service:
             job, _ = service.submit_document(manifest("qft_8", "persist"))
             wait_until(lambda: job.finished)
             job_id = job.job_id
+        (tmp_path / "results" / f"{job_id}.results").unlink()
 
-        restarted = CompilationService(
-            workers=1, cache_dir=tmp_path, warm=False, results=False
-        )
+        restarted = CompilationService(workers=1, cache_dir=tmp_path, warm=False)
         try:
             replayed = restarted.store.get(job_id)
             assert replayed is not None and replayed.stored_lines is None
@@ -330,6 +326,10 @@ class TestJournalReplay:
             # recovery re-runs the batch without recompiling anything.
             assert job.summary["compilations"] == 0
             assert all(json.loads(line)["from_cache"] for line in job.encoded_lines)
+            # The re-run's stream is stored like any submission's, so the
+            # next restart serves it instead of an empty stream.
+            stream = list(restarted.stream_encoded("fedcba9876543210"))
+            wait_until(lambda: restarted.results.load("fedcba9876543210") == stream)
         finally:
             restarted.close(drain_timeout=WAIT)
 
@@ -386,39 +386,16 @@ class TestJournalReplay:
         finally:
             service.close(drain_timeout=WAIT)
 
-    def test_recover_fail_policy_never_resubmits(self, tmp_path):
-        journal_path = tmp_path / "jobs.journal.jsonl"
-        with JobJournal(journal_path) as journal:
-            journal.append(
-                "submitted",
-                "00112233445566aa",
-                created_at=time.time(),
-                jobs=1,
-                specs=[],
-                manifest=manifest("qft_8", "no-retry"),
-            )
-        service = CompilationService(
-            workers=1, cache_dir=tmp_path, warm=False, recover="fail"
-        )
-        try:
-            job = service.store.get("00112233445566aa")
-            assert job.status == "failed"
-            assert job.error["type"] == "ServiceRestart"
-        finally:
-            service.close(drain_timeout=WAIT)
-
     def test_close_journals_queued_cancellations(self, tmp_path):
         hold = threading.Event()
         engine = StubEngine(outcomes_per_run=1, gates={0: hold})
-        service = CompilationService(
-            engine=engine, slots=1, journal_path=tmp_path / "j.jsonl"
-        )
+        service = CompilationService(engine=engine, slots=1, cache_dir=tmp_path)
         running, _ = service.submit_document(manifest("qft_8", "running"))
         wait_until(lambda: running.status == "running")
         queued, _ = service.submit_document(manifest("bv_12", "queued"))
         threading.Timer(0.2, hold.set).start()
         service.close(drain_timeout=WAIT)
-        states = {s["job_id"]: s["status"] for s in replay_journal(tmp_path / "j.jsonl")}
+        states = {s["job_id"]: s["status"] for s in replay_journal(service.journal.path)}
         assert states[running.job_id] == "done"
         assert states[queued.job_id] == "cancelled"
 
@@ -428,15 +405,11 @@ class TestJournalReplay:
         # otherwise a restart would resurrect deliberately-stopped work.
         hold = threading.Event()
         engine = StubEngine(outcomes_per_run=2, gates={1: hold})
-        service = CompilationService(
-            engine=engine, slots=1, journal_path=tmp_path / "j.jsonl"
-        )
+        service = CompilationService(engine=engine, slots=1, cache_dir=tmp_path)
         job, _ = service.submit_document(manifest("qft_8", "slow"))
         wait_until(lambda: len(job.encoded_lines) == 1)
         service.close(drain_timeout=0.1)
-        states = {
-            s["job_id"]: s["status"] for s in replay_journal(tmp_path / "j.jsonl")
-        }
+        states = {s["job_id"]: s["status"] for s in replay_journal(service.journal.path)}
         assert states[job.job_id] == "cancelled"
         hold.set()  # release the daemon slot thread
 
